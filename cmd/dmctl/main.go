@@ -239,9 +239,9 @@ func run(args []string) error {
 		return nil
 	case "shard":
 		// Stripe-placement probe for erasure-coded entries: asks the target
-		// donor which shard of OWNER's stripe under KEY it hosts.
+		// donor which shard of OWNER's stripe under KEY (a wire key) it hosts.
 		if fs.NArg() < 3 {
-			return fmt.Errorf("usage: shard OWNER KEY")
+			return fmt.Errorf("usage: shard OWNER KEY (KEY is the owner's wire key; bit 47 is the entry's write generation)")
 		}
 		ownerID, err := strconv.Atoi(fs.Arg(1))
 		if err != nil {

@@ -23,7 +23,7 @@ func stripeConfig() Config {
 // 0's first data shard, read every entry back while the donor is dark (reads
 // must reconstruct from parity without a single wrong byte), then let the
 // failure detector and maintenance loop rebuild the lost shards on the spare
-// and verify full stripe durability. Outcome labels are a function of the
+// and verify full stripe durability, and finally overwrite one entry. Outcome labels are a function of the
 // seed only; the injector trace additionally of the fabric's op interleaving
 // (serial under sim, so the sim trace also replays byte for byte).
 func runStripeScenario(t *testing.T, kind FabricKind, seed int64) (outcomes, trace []string) {
@@ -121,6 +121,26 @@ func runStripeScenario(t *testing.T, kind FabricKind, seed int64) (outcomes, tra
 			}
 			outcomes = append(outcomes, fmt.Sprintf("healed get %d: %s", i, label))
 		}
+
+		// One overwrite on the healed cluster: the new stripe lands under the
+		// entry's other generation and the old one is dropped, so the entry
+		// reads back as the new payload and no live donor keeps a stale shard
+		// (the crashed victim still holds its pre-crash shard, so it counts
+		// as lost).
+		fresh := cl.Payload(entries, 4096)
+		werr := vs.PutRemote(ctx, 0, fresh, 4096, 4096)
+		outcomes = append(outcomes, fmt.Sprintf("overwrite 0: %s", Classify(werr)))
+		if werr != nil {
+			t.Errorf("overwrite of entry 0 on the healed cluster: %v", werr)
+			return
+		}
+		RequireStripeDurable(t, cl.Nodes, vs, owner, 0, 4, 2, victim)
+		got, _, gerr := vs.Get(ctx, 0)
+		label := Classify(gerr)
+		if gerr == nil && !bytes.Equal(got, fresh) {
+			label = "corrupt"
+		}
+		outcomes = append(outcomes, fmt.Sprintf("overwritten get 0: %s", label))
 	})
 	return outcomes, cl.Inj.Trace()
 }

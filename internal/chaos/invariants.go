@@ -145,7 +145,10 @@ func RequireReplicationFactor(t testing.TB, vs *core.VirtualServer, id pagetable
 // coordinates, and at least k such live shards remain — the §IV.D durability
 // floor below which the stripe is unrecoverable. Donors listed in lost are
 // expected casualties: they may still appear in the set (repair pending) but
-// must not be counted toward the k live shards.
+// must not be counted toward the k live shards. No node outside the lost set
+// may still host a block of the entry's other generation: an overwrite
+// drops the old stripe before it returns, and an aborted one rolls the new
+// stripe back.
 func RequireStripeDurable(t testing.TB, nodes []*core.Node, vs *core.VirtualServer, owner transport.NodeID, id pagetable.EntryID, k, m int, lost ...transport.NodeID) {
 	t.Helper()
 	tb := checked(t, "stripe_durable")
@@ -192,6 +195,11 @@ func RequireStripeDurable(t testing.TB, nodes []*core.Node, vs *core.VirtualServ
 	}
 	if live < k {
 		tb.Errorf("entry %d: only %d live shards of k=%d survive; stripe unrecoverable", id, live, k)
+	}
+	for _, n := range nodes {
+		if !down[n.ID()] && n.HostsRemoteKey(owner, key^core.KeyGenBit) {
+			tb.Errorf("entry %d: node %d still hosts a block of the stale generation", id, n.ID())
+		}
 	}
 }
 
@@ -413,9 +421,10 @@ func (r *CallRecorder) RequireAtMostOnce(t testing.TB) {
 
 // RequireNoStrandedCopies asserts the memory-safety half of the §IV.D
 // rollback contract: after a failed (rolled-back) replicated or batched
-// write of key owned by owner, no node still hosts a receive-pool block
-// recorded for that (owner, key) pair. A violation means an abort path
-// forgot to release a reservation, leaking one donor block per failure.
+// write of key owned by owner, or a delete, no node still hosts a
+// receive-pool block recorded for that (owner, key) pair under either write
+// generation. A violation means an abort path forgot to release a
+// reservation, leaking one donor block per failure.
 func RequireNoStrandedCopies(t testing.TB, nodes []*core.Node, owner transport.NodeID, key uint64) {
 	t.Helper()
 	tb := checked(t, "no_stranded_copies")
@@ -423,8 +432,10 @@ func RequireNoStrandedCopies(t testing.TB, nodes []*core.Node, owner transport.N
 		if n.ID() == owner {
 			continue
 		}
-		if n.HostsRemoteKey(owner, key) {
-			tb.Errorf("node %d still hosts a block for key %d owned by node %d: rolled-back write stranded a copy", n.ID(), key, owner)
+		for _, k := range []uint64{key, key ^ core.KeyGenBit} {
+			if n.HostsRemoteKey(owner, k) {
+				tb.Errorf("node %d still hosts a block for key %d owned by node %d: rolled-back write stranded a copy", n.ID(), k, owner)
+			}
 		}
 	}
 }

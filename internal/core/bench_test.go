@@ -88,9 +88,13 @@ func (s clientStore) Delete(ctx context.Context, node replication.NodeID, id rep
 	return s.c.Delete(ctx, transport.NodeID(node), uint64(id))
 }
 
-func benchReplicatedWrite(b *testing.B, rtt time.Duration, opts ...replication.Option) {
+// benchReplicatedWrite times one 3-way replicated write per iteration: the
+// replicator's fan-out, or — for the serial baseline — the same three
+// clientStore puts issued one after another.
+func benchReplicatedWrite(b *testing.B, rtt time.Duration, serial bool) {
 	bf := newBenchFabricRTT(b, 3, rtt)
-	repl, err := replication.New(clientStore{bf.client}, opts...)
+	store := clientStore{bf.client}
+	repl, err := replication.New(store)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,15 +104,26 @@ func benchReplicatedWrite(b *testing.B, rtt time.Duration, opts ...replication.O
 	}
 	ctx := context.Background()
 	data := bytes.Repeat([]byte{0x5A}, 4096)
+	write := func() error { return repl.Write(ctx, nodes, 1, data) }
+	if serial {
+		write = func() error {
+			for _, n := range nodes {
+				if err := store.Put(ctx, n, 1, data); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	// Warm round reserves the blocks; timed rounds overwrite in place, so
-	// every iteration is exactly one 3-way data-plane fan-out.
-	if err := repl.Write(ctx, nodes, 1, data); err != nil {
+	// every iteration is exactly one 3-way data-plane write.
+	if err := write(); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)) * int64(len(nodes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := repl.Write(ctx, nodes, 1, data); err != nil {
+		if err := write(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,19 +139,19 @@ func benchReplicatedWrite(b *testing.B, rtt time.Duration, opts ...replication.O
 const benchRTT = time.Millisecond
 
 func BenchmarkReplicatedWriteSerial(b *testing.B) {
-	benchReplicatedWrite(b, 0, replication.WithSerialFanout())
+	benchReplicatedWrite(b, 0, true)
 }
 
 func BenchmarkReplicatedWriteParallel(b *testing.B) {
-	benchReplicatedWrite(b, 0)
+	benchReplicatedWrite(b, 0, false)
 }
 
 func BenchmarkReplicatedWriteSerialRTT(b *testing.B) {
-	benchReplicatedWrite(b, benchRTT, replication.WithSerialFanout())
+	benchReplicatedWrite(b, benchRTT, true)
 }
 
 func BenchmarkReplicatedWriteParallelRTT(b *testing.B) {
-	benchReplicatedWrite(b, benchRTT)
+	benchReplicatedWrite(b, benchRTT, false)
 }
 
 // benchEntries builds count fresh entries of size bytes for iteration i.

@@ -281,12 +281,12 @@ func (n *Node) applyMoved(from transport.NodeID, req movedReq) {
 	if !n.remote.rehome(from, req.NewNode, req.Key, req.NewOffset) {
 		return
 	}
-	vs, id, err := n.resolveKey(req.Key)
+	vs, id, gen, err := n.resolveKey(req.Key)
 	if err != nil {
 		return
 	}
 	loc, err := vs.table.Get(id)
-	if err != nil {
+	if err != nil || loc.Gen != gen {
 		return
 	}
 	if loc.Primary == pagetable.NodeID(from) {

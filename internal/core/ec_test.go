@@ -97,7 +97,7 @@ func TestECStripedPutGetDelete(t *testing.T) {
 			t.Errorf("stripe set %v, want 6 donors", set)
 			return
 		}
-		key := vs.key(1)
+		key := vs.WireKey(1)
 		seen := map[transport.NodeID]bool{}
 		var stripedBytes int64
 		for pos, member := range set {
@@ -154,7 +154,7 @@ func TestECStripedPutGetDelete(t *testing.T) {
 		}
 	})
 	// Every shard block and its host-side coordinates are gone.
-	key := vs.key(1)
+	key := vs.WireKey(1)
 	for _, n := range tc.nodes[1:] {
 		if st := n.RecvPool().Stats(); st.LiveBlocks != 0 {
 			t.Errorf("node %d recv pool has %d live blocks after delete", n.ID(), st.LiveBlocks)
@@ -209,7 +209,7 @@ func TestECDegradedReadAndRepair(t *testing.T) {
 				t.Errorf("surviving position %d moved: %v -> %v", i, set, newSet)
 			}
 		}
-		idx, k, m, ok := tc.nodes[replacement-1].ShardInfo(owner.ID(), vs.key(2))
+		idx, k, m, ok := tc.nodes[replacement-1].ShardInfo(owner.ID(), vs.WireKey(2))
 		if !ok || idx != 0 || k != 4 || m != 2 {
 			t.Errorf("replacement %d coords = (%d,%d,%d,%v), want (0,4,2,true)",
 				replacement, idx, k, m, ok)
@@ -221,52 +221,6 @@ func TestECDegradedReadAndRepair(t *testing.T) {
 	})
 	if owner.Stats().RepairsDone != 1 {
 		t.Fatalf("RepairsDone = %d, want 1", owner.Stats().RepairsDone)
-	}
-}
-
-// TestECOverwriteReleasesOldStripe is the striped-overwrite regression test:
-// donors refuse a second block under the same (owner, key) — the
-// distinct-donor invariant — so PutRemote must release the old stripe before
-// writing the new one. With 7 nodes and 6-donor stripes the new pick always
-// overlaps the old set, which is exactly the case the write-new-then-drop-old
-// order could never satisfy. After the overwrite the entry must read back as
-// the new payload with no stranded blocks from the old generation.
-func TestECOverwriteReleasesOldStripe(t *testing.T) {
-	tc := newTestCluster(t, 7, ecConfig)
-	owner := tc.nodes[0]
-	vs, _ := owner.AddServer("vm0", 4096)
-	first := ecPayload(4096, 31)
-	second := ecPayload(4096, 32)
-	tc.run(t, func(ctx context.Context, p *des.Proc) {
-		for i, data := range [][]byte{first, second} {
-			if err := vs.PutRemote(ctx, 1, data, 4096, 4096); err != nil {
-				t.Errorf("PutRemote #%d: %v", i, err)
-				return
-			}
-		}
-		got, _, err := vs.Get(ctx, 1)
-		if err != nil {
-			t.Errorf("Get after overwrite: %v", err)
-			return
-		}
-		if !bytes.Equal(got, second) {
-			t.Error("overwritten entry reads back stale or torn bytes")
-		}
-		live := 0
-		for _, n := range tc.nodes[1:] {
-			live += n.RecvPool().Stats().LiveBlocks
-		}
-		if live != 6 {
-			t.Errorf("%d live donor blocks after overwrite, want 6 (old stripe leaked)", live)
-		}
-		if err := vs.Delete(ctx, 1); err != nil {
-			t.Errorf("Delete: %v", err)
-		}
-	})
-	for _, n := range tc.nodes[1:] {
-		if st := n.RecvPool().Stats(); st.LiveBlocks != 0 {
-			t.Errorf("node %d recv pool has %d live blocks after delete", n.ID(), st.LiveBlocks)
-		}
 	}
 }
 
@@ -373,8 +327,8 @@ func TestMaintainPartialShardRepairRequeues(t *testing.T) {
 		owner.repairMu.Lock()
 		pend := append([]pendingRepair(nil), owner.pendingRepairs...)
 		owner.repairMu.Unlock()
-		if len(pend) != 1 || pend[0].key != vs.key(1) {
-			t.Errorf("pendingRepairs = %+v, want one record for key %d", pend, vs.key(1))
+		if len(pend) != 1 || pend[0].key != vs.WireKey(1) {
+			t.Errorf("pendingRepairs = %+v, want one record for key %d", pend, vs.WireKey(1))
 			return
 		}
 		if pend[0].lost != lost1 && pend[0].lost != lost2 {

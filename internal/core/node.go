@@ -196,8 +196,7 @@ type Node struct {
 	send     *slab.Pool // cluster-wide DM send buffer pool
 	recv     *slab.Pool // cluster-wide DM receive buffer pool (registered)
 	recvBuf  []byte
-	repl     *replication.Replicator
-	policy   replication.Policy // the active durability policy (repl or ec)
+	policy   replication.Policy // the active durability policy (rf or rs)
 	remote   *remoteStore
 	balancer placement.Balancer
 
@@ -476,7 +475,6 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	if err != nil {
 		return nil, err
 	}
-	n.repl = repl
 	n.policy = repl
 	if spec.coding {
 		n.ecReg = metrics.NewRegistry(fmt.Sprintf("ec/node-%d", cfg.ID))
@@ -1201,7 +1199,7 @@ func (n *Node) RepairLost(lost transport.NodeID) int {
 	queued := 0
 	for _, vs := range servers {
 		for _, id := range vs.table.EntriesOnNode(pagetable.NodeID(lost)) {
-			key := vs.key(id)
+			key := vs.WireKey(id)
 			n.remote.drop(lost, key)
 			n.repairMu.Lock()
 			n.pendingRepairs = append(n.pendingRepairs, pendingRepair{key: key, lost: lost})
@@ -1312,13 +1310,13 @@ func (n *Node) Maintain(ctx context.Context) (repaired int, firstErr error) {
 // repairEntry re-establishes one entry's durability via the active policy,
 // returning the lost donors whose share could not be restored this pass.
 func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.NodeID, error) {
-	vs, id, err := n.resolveKey(job.key)
+	vs, id, gen, err := n.resolveKey(job.key)
 	if err != nil {
 		return nil, err
 	}
 	loc, err := vs.table.Get(id)
-	if err != nil || loc.Tier != pagetable.TierRemote {
-		return nil, nil // entry gone or moved since the eviction: nothing to do
+	if err != nil || loc.Tier != pagetable.TierRemote || loc.Gen != gen {
+		return nil, nil // entry gone, moved or overwritten since the eviction
 	}
 	nodes := locationNodes(loc)
 	lost := make([]replication.NodeID, len(job.lost))
@@ -1350,15 +1348,16 @@ func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.Node
 	return out, nil
 }
 
-// resolveKey splits a wire key into its virtual server and entry ID.
-func (n *Node) resolveKey(key uint64) (*VirtualServer, pagetable.EntryID, error) {
+// resolveKey splits a wire key into its virtual server, entry ID and write
+// generation.
+func (n *Node) resolveKey(key uint64) (*VirtualServer, pagetable.EntryID, uint8, error) {
 	idx := int(key >> 48)
 	n.vsMu.RLock()
 	defer n.vsMu.RUnlock()
 	if idx >= len(n.vsByIndex) {
-		return nil, 0, fmt.Errorf("%w: index %d", ErrUnknownServer, idx)
+		return nil, 0, 0, fmt.Errorf("%w: index %d", ErrUnknownServer, idx)
 	}
-	return n.vsByIndex[idx], pagetable.EntryID(key & keyEntryMask), nil
+	return n.vsByIndex[idx], pagetable.EntryID(key & keyEntryMask), uint8(key >> keyEntryBits & 1), nil
 }
 
 // BalloonToServer moves up to wantBytes of budget from the shared memory

@@ -55,10 +55,16 @@ var _ replication.Store = (*remoteStore)(nil)
 
 // Put implements replication.Store: reserve remotely, then one-sided write.
 func (s *remoteStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, data []byte) error {
-	to := transport.NodeID(node)
 	key := uint64(id)
 	class := s.classFor(key, len(data))
-	resp, err := s.node.ep.Call(ctx, to, encodeAllocReq(allocReq{Key: key, Class: int32(class)}))
+	return s.place(ctx, transport.NodeID(node), key, class, encodeAllocReq(allocReq{Key: key, Class: int32(class)}), data)
+}
+
+// place sends the alloc request req to node to, one-sided writes data into
+// the reserved block and records its handle: the one placement path of
+// replicas and shards.
+func (s *remoteStore) place(ctx context.Context, to transport.NodeID, key uint64, class int, req, data []byte) error {
+	resp, err := s.node.ep.Call(ctx, to, req)
 	if err != nil {
 		return fmt.Errorf("core: alloc on node %d: %w", to, err)
 	}
@@ -172,35 +178,13 @@ func (s *remoteStore) GetInto(ctx context.Context, node replication.NodeID, id r
 
 // PutShard implements ec.ShardStore: reserve a shard block remotely —
 // carrying the stripe coordinates so the donor can refuse a sibling shard
-// and answer opShardStat — then one-sided write, mirroring Put.
+// and answer opShardStat — then one-sided write, like Put.
 func (s *remoteStore) PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error {
-	to := transport.NodeID(node)
 	key := uint64(id)
 	class := s.classFor(key, len(data))
-	resp, err := s.node.ep.Call(ctx, to, encodeAllocShardReq(allocShardReq{
+	return s.place(ctx, transport.NodeID(node), key, class, encodeAllocShardReq(allocShardReq{
 		Key: key, Class: int32(class), Idx: uint8(idx), K: uint8(k), M: uint8(m),
-	}))
-	if err != nil {
-		return fmt.Errorf("core: shard alloc on node %d: %w", to, err)
-	}
-	alloc, err := decodeAllocResp(resp)
-	if err != nil {
-		return err
-	}
-	if err := s.node.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data); err != nil {
-		fctx, cancel := detached(ctx)
-		defer cancel()
-		_, _ = s.node.ep.Call(fctx, to, encodeFreeReq(freeReq{Key: key, Offset: alloc.Offset}))
-		return fmt.Errorf("core: one-sided shard write to node %d: %w", to, err)
-	}
-	s.mu.Lock()
-	s.handles[remoteKey{node: to, key: key}] = remoteHandle{
-		offset:  alloc.Offset,
-		class:   class,
-		dataLen: len(data),
-	}
-	s.mu.Unlock()
-	return nil
+	}), data)
 }
 
 // rehome repoints the handle for key from old to new after a decommission

@@ -13,9 +13,15 @@ import (
 	"godm/internal/transport"
 )
 
-// keyEntryMask keeps the low 48 bits of an entry ID; the top 16 bits carry
-// the virtual-server index, making wire keys unique per node.
-const keyEntryMask = (uint64(1) << 48) - 1
+// A wire key holds the virtual-server index in its top 16 bits (keys are
+// unique per node), the entry's write generation (Location.Gen) in bit 47 —
+// KeyGenBit, so key ^ KeyGenBit is its other generation — and the entry ID in
+// the low 47 bits.
+const (
+	keyEntryBits = 47
+	keyEntryMask = uint64(1)<<keyEntryBits - 1
+	KeyGenBit    = uint64(1) << keyEntryBits
+)
 
 // VirtualServer is one VM, container, or JVM executor registered with the
 // node manager. Its methods are the LDMC interface: transparent puts and
@@ -53,22 +59,26 @@ func (vs *VirtualServer) SetBalloonCallback(fn func(bytes int64)) {
 	vs.node.vsMu.Unlock()
 }
 
-func (vs *VirtualServer) key(id pagetable.EntryID) uint64 {
-	return uint64(vs.index)<<48 | (uint64(id) & keyEntryMask)
+func (vs *VirtualServer) key(id pagetable.EntryID, gen uint8) uint64 {
+	return uint64(vs.index)<<48 | uint64(gen&1)<<keyEntryBits | uint64(id)&keyEntryMask
 }
 
-// WireKey returns the cluster-wide key id travels under — the key remote
-// hosts record against this owner. Invariant checkers use it to ask donor
-// nodes whether they still hold copies of a rolled-back entry.
-func (vs *VirtualServer) WireKey(id pagetable.EntryID) uint64 { return vs.key(id) }
+// WireKey returns the cluster-wide key id's current generation (0 when id has
+// no location) travels under — the key remote hosts record against this
+// owner. Invariant checkers use it to ask donor nodes whether they still hold
+// copies of a rolled-back entry.
+func (vs *VirtualServer) WireKey(id pagetable.EntryID) uint64 {
+	loc, _ := vs.table.Get(id)
+	return vs.key(id, loc.Gen)
+}
 
 // PutShared parks an entry in the node-coordinated shared memory pool.
 // data is the (possibly compressed) payload, class its size class, and
 // rawSize the uncompressed size. It returns ErrNoSpace when the pool is
 // full, in which case the caller should try PutRemote.
 func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, rawSize int) error {
-	if len(data) > class {
-		return fmt.Errorf("core: payload %d exceeds class %d", len(data), class)
+	if err := checkPut(id, data, class); err != nil {
+		return err
 	}
 	h, err := vs.node.shared.Alloc(class)
 	if err != nil {
@@ -81,7 +91,7 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 		_ = vs.node.shared.Free(h)
 		return err
 	}
-	vs.dropOld(context.Background(), id)
+	old, oldErr := vs.table.Get(id)
 	vs.table.Put(id, pagetable.Location{
 		Tier:       pagetable.TierSharedMemory,
 		Primary:    pagetable.NodeID(vs.node.cfg.ID),
@@ -89,39 +99,38 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 		StoredSize: class,
 		RawSize:    rawSize,
 	})
+	if oldErr == nil {
+		_ = vs.releaseLocation(context.Background(), id, old)
+	}
 	vs.node.counters.sharedPuts.Add(1)
 	vs.node.met.sharedPuts.Inc()
 	vs.putCount.Add(1)
 	return nil
 }
 
-// PutRemote replicates an entry into the receive pools of remote group
-// members (the RDMC path). It returns ErrRemoteFull or ErrNoCandidates when
-// cluster memory cannot hold the entry, in which case the caller should fall
-// through to disk.
+// PutRemote spreads an entry across the receive pools of remote group
+// members (the RDMC path) under the durability policy. It returns
+// ErrRemoteFull or ErrNoCandidates when cluster memory cannot hold the
+// entry, in which case the caller should fall through to disk.
+//
+// An overwrite is written under the entry's other generation, published, and
+// only then is the old generation dropped, so old and new copies never share
+// an (owner, key) and an aborted write leaves the old value readable (§IV.D
+// all-or-nothing). One bit is enough because an entry has one writer and
+// PutRemote drops the old generation before it returns.
 func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, data []byte, class, rawSize int) error {
-	if len(data) > class {
-		return fmt.Errorf("core: payload %d exceeds class %d", len(data), class)
+	if err := checkPut(id, data, class); err != nil {
+		return err
 	}
 	ctx, sp := trace.Start(ctx, "core.put_remote")
 	sp.Annotate("entry", uint64(id))
 	sp.Annotate("class", class)
 	defer sp.End()
 	start := trace.Now(ctx)
-	// A striped overwrite must release the old stripe before the new write:
-	// donors refuse a second block under the same (owner, key) — the
-	// distinct-donor invariant — so the replication path's write-new-then-
-	// drop-old order cannot land a fresh stripe on any donor of the old one.
-	// The caller still holds the payload, so the only durability gap is the
-	// write itself; an aborted write leaves the entry absent, never torn
-	// across stripe generations.
-	if vs.node.ecReg != nil {
-		if old, err := vs.table.Get(id); err == nil && old.Tier == pagetable.TierRemote {
-			vs.table.Delete(id)
-			if err := vs.releaseLocation(ctx, id, old); err != nil {
-				sp.Annotate("stale_release_err", err)
-			}
-		}
+	old, oldErr := vs.table.Get(id)
+	var gen uint8
+	if oldErr == nil {
+		gen = old.Gen ^ 1
 	}
 	_, pick := trace.Start(ctx, "placement.pick")
 	nodes, err := vs.node.pickRemotes(vs.node.policy.Width(), nil)
@@ -130,7 +139,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		sp.Annotate("err", err)
 		return err
 	}
-	key := vs.key(id)
+	key := vs.key(id, gen)
 	// Each donor allocates the per-shard class: the full class under
 	// replication, ceil(class/k) under RS(k, m) — coding's capacity win.
 	vs.node.remote.setClass(key, vs.node.policy.ShardClass(class))
@@ -141,17 +150,22 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		sp.Annotate("err", err)
 		return err
 	}
-	vs.dropOld(ctx, id)
 	loc := pagetable.Location{
 		Tier:       pagetable.TierRemote,
 		Primary:    pagetable.NodeID(nodes[0]),
 		StoredSize: class,
 		RawSize:    rawSize,
+		Gen:        gen,
 	}
 	for _, n := range nodes[1:] {
 		loc.Replicas = append(loc.Replicas, pagetable.NodeID(n))
 	}
 	vs.table.Put(id, loc)
+	if oldErr == nil {
+		if err := vs.releaseLocation(ctx, id, old); err != nil {
+			sp.Annotate("stale_release_err", err)
+		}
+	}
 	vs.node.counters.remotePuts.Add(1)
 	vs.node.met.remotePuts.Inc()
 	elapsed := trace.Now(ctx) - start
@@ -162,6 +176,18 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		sp.Annotate("slow", "put")
 	}
 	vs.putCount.Add(1)
+	return nil
+}
+
+// checkPut rejects a payload larger than its class and an entry ID wider than
+// the wire key's entry bits (it would alias another entry's key).
+func checkPut(id pagetable.EntryID, data []byte, class int) error {
+	if len(data) > class {
+		return fmt.Errorf("core: payload %d exceeds class %d", len(data), class)
+	}
+	if uint64(id) > keyEntryMask {
+		return fmt.Errorf("core: entry %d exceeds the %d-bit entry space", id, keyEntryBits)
+	}
 	return nil
 }
 
@@ -206,7 +232,7 @@ func (vs *VirtualServer) Get(ctx context.Context, id pagetable.EntryID) ([]byte,
 		return data, loc, nil
 	case pagetable.TierRemote:
 		start := trace.Now(ctx)
-		data, _, err := vs.node.policy.Read(ctx, locationNodes(loc), replication.EntryID(vs.key(id)))
+		data, _, err := vs.node.policy.Read(ctx, locationNodes(loc), replication.EntryID(vs.key(id, loc.Gen)))
 		if err != nil {
 			sp.Annotate("err", err)
 			return nil, loc, err
@@ -246,7 +272,7 @@ func (vs *VirtualServer) GetAt(ctx context.Context, id pagetable.EntryID, off, n
 		vs.node.counters.sharedGets.Add(1)
 		return data, nil
 	case pagetable.TierRemote:
-		data, err := vs.node.policy.ReadAt(ctx, locationNodes(loc), replication.EntryID(vs.key(id)), off, n)
+		data, err := vs.node.policy.ReadAt(ctx, locationNodes(loc), replication.EntryID(vs.key(id, loc.Gen)), off, n)
 		if err != nil {
 			return nil, err
 		}
@@ -271,22 +297,13 @@ func (vs *VirtualServer) Delete(ctx context.Context, id pagetable.EntryID) error
 	return vs.releaseLocation(ctx, id, loc)
 }
 
-// dropOld releases storage held by a previous version of id, if any.
-func (vs *VirtualServer) dropOld(ctx context.Context, id pagetable.EntryID) {
-	loc, err := vs.table.Get(id)
-	if err != nil {
-		return
-	}
-	_ = vs.releaseLocation(ctx, id, loc)
-}
-
 func (vs *VirtualServer) releaseLocation(ctx context.Context, id pagetable.EntryID, loc pagetable.Location) error {
 	switch loc.Tier {
 	case pagetable.TierSharedMemory:
 		h := slab.Handle{SlabID: loc.Ref.SlabID, Offset: loc.Ref.Offset, Class: loc.StoredSize}
 		return vs.node.shared.Free(h)
 	case pagetable.TierRemote:
-		return vs.node.policy.Delete(ctx, locationNodes(loc), replication.EntryID(vs.key(id)))
+		return vs.node.policy.Delete(ctx, locationNodes(loc), replication.EntryID(vs.key(id, loc.Gen)))
 	default:
 		return nil
 	}
@@ -319,5 +336,5 @@ func (vs *VirtualServer) ReadFrom(ctx context.Context, id pagetable.EntryID, nod
 	if !member {
 		return nil, fmt.Errorf("core: node %d is not in the replica set of entry %d", node, id)
 	}
-	return vs.node.remote.Get(ctx, replication.NodeID(node), replication.EntryID(vs.key(id)))
+	return vs.node.remote.Get(ctx, replication.NodeID(node), replication.EntryID(vs.key(id, loc.Gen)))
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"godm/internal/bufpool"
-	"godm/internal/des"
 	"godm/internal/metrics"
 	"godm/internal/replication"
 	"godm/internal/trace"
@@ -73,11 +72,10 @@ func newCodingMetrics(reg *metrics.Registry) codingMetrics {
 // hedge delay; Restore rebuilds lost shards from any k survivors instead of
 // re-copying full blocks.
 type CodingPolicy struct {
-	code   *Code
-	store  replication.Store
-	serial bool
-	hedge  HedgeFunc
-	met    codingMetrics
+	code  *Code
+	store replication.Store
+	hedge HedgeFunc
+	met   codingMetrics
 
 	mu      sync.Mutex
 	stripes map[replication.EntryID]stripeInfo
@@ -98,12 +96,6 @@ func WithPolicyMetrics(reg *metrics.Registry) PolicyOption {
 			p.met = newCodingMetrics(reg)
 		}
 	}
-}
-
-// WithSerialFanout forces serial shard fan-out and serial reads, mirroring
-// replication.WithSerialFanout (the DES always gets this behavior).
-func WithSerialFanout() PolicyOption {
-	return func(p *CodingPolicy) { p.serial = true }
 }
 
 // NewPolicy returns an RS(k, m) coding policy over store.
@@ -145,39 +137,6 @@ func (p *CodingPolicy) MinAlive() int { return p.code.k }
 // entry, rounded up.
 func (p *CodingPolicy) ShardClass(entryClass int) int {
 	return p.code.ShardLen(entryClass)
-}
-
-// serialIn reports whether ctx demands the deterministic serial plan.
-func (p *CodingPolicy) serialIn(ctx context.Context) bool {
-	if p.serial {
-		return true
-	}
-	_, simulated := des.FromContext(ctx)
-	return simulated
-}
-
-// fanout runs op for every shard position. Like the replication fan-out,
-// every position is always attempted (no short-circuit) so the per-stream op
-// sequence the seeded chaos replay sees stays independent of which donor
-// fails first; over a real fabric positions run concurrently.
-func (p *CodingPolicy) fanout(ctx context.Context, n int, op func(ctx context.Context, i int) error) []error {
-	errs := make([]error, n)
-	if p.serialIn(ctx) || n == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = op(ctx, i)
-		}
-		return errs
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = op(ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	return errs
 }
 
 func (p *CodingPolicy) putShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx int, data []byte) error {
@@ -240,8 +199,8 @@ func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id
 		sp.EndErr(err)
 		return err
 	}
-	errs := p.fanout(ctx, total, func(ctx context.Context, i int) error {
-		return p.putShard(ctx, nodes[i], id, i, shards[i])
+	errs := replication.Fanout(ctx, nodes, func(ctx context.Context, i int, n replication.NodeID) error {
+		return p.putShard(ctx, n, id, i, shards[i])
 	})
 	failed := -1
 	for i, err := range errs {
@@ -307,18 +266,16 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 	p.met.reads.Inc()
 	start := trace.Now(ctx)
 	dst := make([]byte, raw)
-	degraded := false
 	err := p.code.ReadInto(ctx, dst, func(ctx context.Context, idx int, buf []byte) error {
 		return p.getShard(ctx, nodes[idx], id, buf)
 	}, ReadOpts{
-		Serial: p.serialIn(ctx),
+		Serial: replication.Serial(ctx),
 		Hedge:  p.hedgeDelay(nodes),
 		OnHedge: func() {
 			p.met.hedges.Inc()
 			sp.Annotate("hedged", 1)
 		},
 		OnDegraded: func() {
-			degraded = true
 			p.met.degraded.Inc()
 			sp.Annotate("degraded", 1)
 		},
@@ -328,7 +285,6 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 		sp.EndErr(err)
 		return nil, 0, err
 	}
-	_ = degraded
 	p.met.readLatency.Observe(trace.Now(ctx) - start)
 	sp.End()
 	return dst, nodes[0], nil
@@ -382,8 +338,8 @@ func (p *CodingPolicy) ReadAt(ctx context.Context, nodes []replication.NodeID, i
 // Delete implements replication.Policy: release every shard; the first
 // failure is reported after all positions were attempted.
 func (p *CodingPolicy) Delete(ctx context.Context, nodes []replication.NodeID, id replication.EntryID) error {
-	errs := p.fanout(ctx, len(nodes), func(ctx context.Context, i int) error {
-		return p.store.Delete(ctx, nodes[i], id)
+	errs := replication.Fanout(ctx, nodes, func(ctx context.Context, _ int, n replication.NodeID) error {
+		return p.store.Delete(ctx, n, id)
 	})
 	p.mu.Lock()
 	delete(p.stripes, id)

@@ -104,7 +104,7 @@ func pickFrom(pool ...replication.NodeID) replication.PickFunc {
 
 func TestPolicyWriteReadDelete(t *testing.T) {
 	store := newFakeStore()
-	p, err := NewPolicy(4, 2, store, WithSerialFanout())
+	p, err := NewPolicy(4, 2, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 
 func TestPolicyWriteAbortRollsBack(t *testing.T) {
 	store := newFakeStore()
-	p, _ := NewPolicy(2, 1, store, WithSerialFanout())
+	p, _ := NewPolicy(2, 1, store)
 	store.putErr[3] = errors.New("no space")
 	err := p.Write(context.Background(), []replication.NodeID{1, 2, 3}, 9, []byte("hello world"))
 	if !errors.Is(err, replication.ErrAborted) {
@@ -177,7 +177,7 @@ func TestPolicyWriteAbortRollsBack(t *testing.T) {
 
 func TestPolicyDegradedRead(t *testing.T) {
 	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 5000)
 	rand.New(rand.NewSource(2)).Read(data)
@@ -202,7 +202,7 @@ func TestPolicyDegradedRead(t *testing.T) {
 
 func TestPolicyRestore(t *testing.T) {
 	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 2048)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -243,7 +243,7 @@ func TestPolicyRestore(t *testing.T) {
 // stillLost — the requeue accounting the maintenance loop depends on.
 func TestPolicyRestorePartial(t *testing.T) {
 	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 2048)
 	rand.New(rand.NewSource(4)).Read(data)
@@ -278,7 +278,7 @@ func TestPolicyRestorePartial(t *testing.T) {
 // an error loop.
 func TestPolicyRestoreStaleLost(t *testing.T) {
 	store := newFakeStore()
-	p, _ := NewPolicy(2, 1, store, WithSerialFanout())
+	p, _ := NewPolicy(2, 1, store)
 	nodes := []replication.NodeID{1, 2, 3}
 	if err := p.Write(context.Background(), nodes, 8, []byte("some payload")); err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestPolicyRestoreStaleLost(t *testing.T) {
 // without progress and without fabricating shards.
 func TestPolicyRestoreTooFewSurvivors(t *testing.T) {
 	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 1024)
 	rand.New(rand.NewSource(5)).Read(data)

@@ -83,6 +83,10 @@ type Location struct {
 	// BatchID groups entries swapped out in the same batching window; the
 	// proactive batch swap-in path prefetches by BatchID.
 	BatchID uint64
+	// Gen is the entry's write generation (0 or 1, TierRemote only): the
+	// bit of the wire key its remote copies live under. An overwrite lands
+	// under the other generation, so old and new copies never share a key.
+	Gen uint8
 }
 
 // ErrNotFound is returned when an entry has no recorded location.

@@ -7,9 +7,10 @@
 // a replacement node.
 //
 // Over a real fabric, Write and Delete fan their per-replica operations out
-// concurrently (every replica is always attempted; an aborted write rolls
-// back on a context detached from the caller's); under the discrete-event
-// simulation, or with WithSerialFanout, they stay serial.
+// concurrently through Fanout (every replica is always attempted; an aborted
+// write rolls back on a context detached from the caller's); under the
+// discrete-event simulation they stay serial. ec.CodingPolicy shares the
+// same executor.
 //
 // The package is transport-agnostic: it drives any Store implementation,
 // which in this repository is backed by the simulated RDMA fabric, the TCP
@@ -60,7 +61,6 @@ const DefaultFactor = 3
 type Replicator struct {
 	store  Store
 	factor int
-	serial bool
 	met    replMetrics
 }
 
@@ -117,14 +117,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithSerialFanout forces Write and Delete to contact replicas one node at a
-// time, the pre-fan-out behavior. It exists as the baseline for the
-// data-plane benchmarks and as an escape hatch for transports that cannot
-// take concurrent operations.
-func WithSerialFanout() Option {
-	return func(r *Replicator) { r.serial = true }
-}
-
 // New returns a replicator over store.
 func New(store Store, opts ...Option) (*Replicator, error) {
 	r := &Replicator{store: store, factor: DefaultFactor}
@@ -144,25 +136,34 @@ func New(store Store, opts ...Option) (*Replicator, error) {
 // Factor returns the configured replication factor.
 func (r *Replicator) Factor() int { return r.factor }
 
-// fanout runs op against every node and returns one error slot per node.
-// Over a real fabric the operations run concurrently — the multiplexed
-// transport pipelines them over pooled connections, so a replicated write
-// costs one round trip instead of factor round trips. Under the
-// discrete-event simulation (or WithSerialFanout) the loop stays serial: a
+// Serial reports whether ctx carries a discrete-event simulation process. A
 // simulated process is cooperative and must issue its fabric operations from
-// its own goroutine.
+// its own goroutine, so fan-outs and read plans under it run one target at a
+// time.
+func Serial(ctx context.Context) bool {
+	_, simulated := des.FromContext(ctx)
+	return simulated
+}
+
+// Fanout runs op against every node (op receives the node's index and ID)
+// and returns one error slot per node. It is the one fan-out executor of the
+// durability policies: replication and ec.CodingPolicy both write and delete
+// through it. Over a real fabric the operations run concurrently — the
+// multiplexed transport pipelines them over pooled connections, so a
+// replicated write costs one round trip instead of factor round trips. Under
+// the discrete-event simulation (see Serial), or with a single node, the loop
+// stays serial.
 //
 // Every node is always attempted — there is no short-circuit on first
 // failure. Besides gathering the full success set for rollback, this keeps
 // the per-stream operation sequence seen by the fault injector independent
-// of which replica happens to fail first, which the seeded chaos replay
-// tests depend on.
-func (r *Replicator) fanout(ctx context.Context, nodes []NodeID, op func(context.Context, NodeID) error) []error {
+// of which node happens to fail first, which the seeded chaos replay tests
+// depend on.
+func Fanout(ctx context.Context, nodes []NodeID, op func(ctx context.Context, i int, n NodeID) error) []error {
 	errs := make([]error, len(nodes))
-	_, simulated := des.FromContext(ctx)
-	if r.serial || simulated || len(nodes) == 1 {
+	if len(nodes) == 1 || Serial(ctx) {
 		for i, n := range nodes {
-			errs[i] = op(ctx, n)
+			errs[i] = op(ctx, i, n)
 		}
 		return errs
 	}
@@ -171,7 +172,7 @@ func (r *Replicator) fanout(ctx context.Context, nodes []NodeID, op func(context
 		wg.Add(1)
 		go func(i int, n NodeID) {
 			defer wg.Done()
-			errs[i] = op(ctx, n)
+			errs[i] = op(ctx, i, n)
 		}(i, n)
 	}
 	wg.Wait()
@@ -181,7 +182,7 @@ func (r *Replicator) fanout(ctx context.Context, nodes []NodeID, op func(context
 // Write stores data for id on the given nodes (nodes[0] is the primary) as an
 // atomic transaction: if any node fails, the copies already written are
 // rolled back and ErrAborted is returned. len(nodes) must equal the factor.
-// The per-replica puts fan out concurrently over a real fabric (see fanout).
+// The per-replica puts fan out concurrently over a real fabric (see Fanout).
 func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data []byte) error {
 	if len(nodes) != r.factor {
 		return fmt.Errorf("replication: got %d nodes, factor is %d", len(nodes), r.factor)
@@ -191,7 +192,7 @@ func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data
 	sp.Annotate("nodes", len(nodes))
 	r.met.writes.Inc()
 	start := trace.Now(ctx)
-	errs := r.fanout(ctx, nodes, func(ctx context.Context, n NodeID) error {
+	errs := Fanout(ctx, nodes, func(ctx context.Context, _ int, n NodeID) error {
 		return r.store.Put(ctx, n, id, data)
 	})
 	failed := -1
@@ -264,7 +265,7 @@ func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID) ([]by
 // per-node frees fan out concurrently over a real fabric.
 func (r *Replicator) Delete(ctx context.Context, nodes []NodeID, id EntryID) error {
 	r.met.deletes.Inc()
-	errs := r.fanout(ctx, nodes, func(ctx context.Context, n NodeID) error {
+	errs := Fanout(ctx, nodes, func(ctx context.Context, _ int, n NodeID) error {
 		return r.store.Delete(ctx, n, id)
 	})
 	for i, err := range errs {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"godm/internal/des"
 )
 
 // fakeStore is an in-memory Store with per-node failure injection.
@@ -316,7 +318,8 @@ func TestWriteFansOutConcurrently(t *testing.T) {
 }
 
 // exclusiveStore fails any Put that overlaps another in-flight Put, proving
-// serial issue order.
+// serial issue order. Each Put stays in flight for a millisecond so a
+// concurrent fan-out reliably overlaps.
 type exclusiveStore struct {
 	*fakeStore
 	mu       sync.Mutex
@@ -336,19 +339,36 @@ func (e *exclusiveStore) Put(ctx context.Context, node NodeID, id EntryID, data 
 	if over {
 		return fmt.Errorf("node %d: overlapping put", node)
 	}
+	time.Sleep(time.Millisecond)
 	return e.fakeStore.Put(ctx, node, id, data)
 }
 
-func TestSerialFanoutOption(t *testing.T) {
+// TestFanoutSerialUnderDES: inside a discrete-event simulation process the
+// shared fan-out issues one Put at a time — a simulated process must drive
+// its fabric operations from its own goroutine.
+func TestFanoutSerialUnderDES(t *testing.T) {
 	st := &exclusiveStore{fakeStore: newFakeStore()}
-	r, err := New(st, WithSerialFanout())
+	r, err := New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if err := r.Write(context.Background(), []NodeID{1, 2, 3}, EntryID(i), []byte("s")); err != nil {
-			t.Fatalf("serial write %d: %v", i, err)
+	env := des.NewEnv()
+	env.Go("writer", func(p *des.Proc) {
+		ctx := des.NewContext(context.Background(), p)
+		if !Serial(ctx) {
+			t.Error("Serial reports false inside a DES process")
 		}
+		for i := 0; i < 8; i++ {
+			if err := r.Write(ctx, []NodeID{1, 2, 3}, EntryID(i), []byte("s")); err != nil {
+				t.Errorf("serial write %d: %v", i, err)
+			}
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if Serial(context.Background()) {
+		t.Error("Serial reports true outside a DES process")
 	}
 }
 
@@ -400,7 +420,7 @@ func TestRollbackRunsOnDetachedContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	st := &cancellingStore{fakeStore: newFakeStore(), failNode: 3, cancel: cancel}
-	r, _ := New(st, WithSerialFanout())
+	r, _ := New(st)
 	err := r.Write(ctx, []NodeID{1, 2, 3}, 8, []byte("x"))
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)

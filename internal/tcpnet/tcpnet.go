@@ -269,6 +269,7 @@ type vecQueue struct {
 	hdrs    []*[reqHeaderSize]byte // header blocks in flight, recycled on flush
 	free    []*[reqHeaderSize]byte // header block freelist
 	release [][]byte               // pooled payloads released after flush
+	stage   []byte                 // race builds: one-write copy of bufs
 	queued  int64                  // bytes in bufs
 	written int64                  // bytes the kernel has accepted since dial
 }
@@ -305,15 +306,18 @@ func (q *vecQueue) flush(conn net.Conn) error {
 		// ioSync release that pairs with read(2)'s acquire; the writev path
 		// has no annotation, so vectored data sent to an endpoint in this
 		// same process would be falsely reported as racing with the peer's
-		// reads. Degrade to per-iovec writes when the detector is active.
+		// reads. And syscall.Write marks its buffer read only after the
+		// syscall returns, by which time the peer's ack may already have
+		// released a caller that refills its payload. So under the detector
+		// copy the frames into the connection's own staging buffer and write
+		// that once.
+		q.stage = q.stage[:0]
 		for _, b := range q.bufs {
-			var m int
-			m, err = conn.Write(b)
-			n += int64(m)
-			if err != nil {
-				break
-			}
+			q.stage = append(q.stage, b...)
 		}
+		var m int
+		m, err = conn.Write(q.stage)
+		n = int64(m)
 	} else {
 		// WriteTo consumes its receiver (and nils out sent entries), so hand
 		// it a copy of the slice header and keep ours for backing-array reuse.

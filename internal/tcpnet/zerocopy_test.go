@@ -177,3 +177,31 @@ func BenchmarkTCPNetReadInto(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// TestWriteRegionThenRefill reuses one payload buffer across one-sided
+// writes, refilling it as soon as each WriteRegion returns — what a caller
+// may do once its write is acknowledged. Under -race this pins the flush
+// path's happens-before edge: syscall.Write annotates its read of the buffer
+// only after the syscall returns, by which time the peer's ack can already
+// have released the caller, so the flush must not hand caller memory to it.
+func TestWriteRegionThenRefill(t *testing.T) {
+	a, b := pairUp(t)
+	region, err := b.RegisterRegion(1, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	buf := make([]byte, 4096)
+	for i := 0; i < 500; i++ {
+		for j := range buf {
+			buf[j] = byte(i + j)
+		}
+		off := int64(i%16) * 4096
+		if err := a.WriteRegion(ctx, 2, 1, off, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(region[off:off+4096], buf) {
+			t.Fatalf("write %d landed wrong bytes", i)
+		}
+	}
+}
