@@ -10,7 +10,7 @@ import (
 
 	"godm/internal/cluster"
 	"godm/internal/faulty"
-	"godm/internal/metrics"
+	"godm/internal/pagetable"
 	"godm/internal/placement"
 	"godm/internal/tcpnet"
 	"godm/internal/transport"
@@ -22,23 +22,28 @@ import (
 const ecBenchPayload = 64 << 10
 
 // ecBenchRig is one owner node plus seven donor peers over loopback TCP,
-// with every owner-issued verb delayed by the emulated 1 ms fabric RTT (the
-// same middleware and figure as the data-plane benchmarks — loopback has no
-// propagation delay, and RTT is exactly what the scatter fan-out and the
-// hedge timer exist to hide). The owner runs the durability policy under
-// test; the injector doubles as the donor-crash/slow-donor lever.
+// with every owner-issued verb delayed by an emulated fabric RTT (the
+// benchmarks use benchRTT, the same middleware and figure as the data-plane
+// benchmarks — loopback has no propagation delay, and RTT is exactly what
+// the scatter fan-out and the hedge timer exist to hide; zero adds none).
+// The owner runs the durability policy under test; the injector doubles as
+// the donor-crash/slow-donor lever. Extra middlewares wrap the owner's
+// fabric outside the injector, so they see every verb the owner issues,
+// delayed or not.
 type ecBenchRig struct {
 	owner *Node
 	vs    *VirtualServer
 	inj   *faulty.Injector
 }
 
-func newECBenchRig(b *testing.B, durability string, obj metrics.Objectives) *ecBenchRig {
+func newECBenchRig(b testing.TB, durability string, rtt time.Duration, mws ...transport.Middleware) *ecBenchRig {
 	b.Helper()
 	const n = 8
 	inj := faulty.New(1)
-	inj.AddRule(faulty.Rule{Kind: faulty.KindDelay, Verb: faulty.VerbAny,
-		From: faulty.AnyNode, To: faulty.AnyNode, Pct: 100, Delay: time.Millisecond})
+	if rtt > 0 {
+		inj.AddRule(faulty.Rule{Kind: faulty.KindDelay, Verb: faulty.VerbAny,
+			From: faulty.AnyNode, To: faulty.AnyNode, Pct: 100, Delay: rtt})
+	}
 
 	addrs := map[transport.NodeID]string{}
 	var eps []*tcpnet.Endpoint
@@ -73,8 +78,7 @@ func newECBenchRig(b *testing.B, durability string, obj metrics.Objectives) *ecB
 		if i == 0 {
 			cfg.Durability = durability
 			cfg.Balancer = placement.NewRoundRobin() // deterministic stripe sets
-			cfg.Objectives = obj
-			fabric = inj.Wrap(ep)
+			fabric = transport.Chain(ep, append(mws, inj.Wrap)...)
 		}
 		node, err := NewNode(cfg, fabric, dir)
 		if err != nil {
@@ -92,15 +96,15 @@ func newECBenchRig(b *testing.B, durability string, obj metrics.Objectives) *ecB
 	return rig
 }
 
-// seedEntry stripes one payload and returns it with the holder set.
-func (rig *ecBenchRig) seedEntry(b *testing.B, ctx context.Context) ([]byte, []transport.NodeID) {
+// put stripes one payload under id and returns it with the holder set.
+func (rig *ecBenchRig) put(b testing.TB, ctx context.Context, id pagetable.EntryID) ([]byte, []transport.NodeID) {
 	b.Helper()
 	payload := make([]byte, ecBenchPayload)
-	rand.New(rand.NewSource(7)).Read(payload)
-	if err := rig.vs.PutRemote(ctx, 1, payload, ecBenchPayload, ecBenchPayload); err != nil {
+	rand.New(rand.NewSource(int64(id))).Read(payload)
+	if err := rig.vs.PutRemote(ctx, id, payload, ecBenchPayload, ecBenchPayload); err != nil {
 		b.Fatal(err)
 	}
-	loc, err := rig.vs.Location(1)
+	loc, err := rig.vs.Location(id)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,9 +120,9 @@ func (rig *ecBenchRig) seedEntry(b *testing.B, ctx context.Context) ([]byte, []t
 // read takes the degraded path: replica failover under rf, parity
 // reconstruction under rs.
 func benchECRead(b *testing.B, durability string, degraded bool) {
-	rig := newECBenchRig(b, durability, nil)
+	rig := newECBenchRig(b, durability, benchRTT)
 	ctx := context.Background()
-	payload, holders := rig.seedEntry(b, ctx)
+	payload, holders := rig.put(b, ctx, 1)
 	if degraded {
 		rig.inj.Crash(holders[0])
 	}
@@ -165,9 +169,9 @@ func BenchmarkECReadRTT(b *testing.B) {
 func BenchmarkECWriteRTT(b *testing.B) {
 	for _, durability := range []string{"rf3", "rs4.2"} {
 		b.Run("policy="+durability, func(b *testing.B) {
-			rig := newECBenchRig(b, durability, nil)
+			rig := newECBenchRig(b, durability, benchRTT)
 			ctx := context.Background()
-			payload, _ := rig.seedEntry(b, ctx)
+			payload, _ := rig.put(b, ctx, 1)
 			b.SetBytes(ecBenchPayload)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -179,50 +183,42 @@ func BenchmarkECWriteRTT(b *testing.B) {
 	}
 }
 
-// BenchmarkECReadHedgedTailRTT measures what the SLO-derived hedge timer
-// buys: one data-shard donor turns slow (+20 ms per verb on top of the 1 ms
-// RTT), and every read must either wait it out (hedge=off: the empty
-// objective set disables the timer) or cut over to parity when the timer —
-// derived from the get SLO, 4x the 1 ms RTT — fires (hedge=on). The p99 is
-// reported per run; acceptance is hedge=on p99 well under the slow donor's
-// 21 ms floor.
+// BenchmarkECReadHedgedTailRTT measures what first-hand donor latency buys:
+// one data-shard donor turns slow (+20 ms per verb on top of the 1 ms RTT)
+// after the owner has timed it fast. The first read hedges — its timer is
+// twice the plan's largest estimate — and the cancelled fetch raises the
+// donor's estimate, so every timed read plans the fastest parity shard in
+// its place and reconstructs without waiting on it. The p99 is reported per
+// run; acceptance is a p99 well under the slow donor's 21 ms floor.
 func BenchmarkECReadHedgedTailRTT(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		obj  metrics.Objectives
-	}{
-		{"hedge=off", metrics.Objectives{}},
-		{"hedge=on", nil},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			rig := newECBenchRig(b, "rs4.2", tc.obj)
-			ctx := context.Background()
-			payload, holders := rig.seedEntry(b, ctx)
-			// Slow, not dead: the fetch succeeds if waited on, so only the
-			// hedge timer (never an error) can trigger the parity path.
-			rig.inj.AddRule(faulty.Rule{Kind: faulty.KindDelay, Verb: faulty.VerbAny,
-				From: faulty.AnyNode, To: holders[0], Pct: 100, Delay: 20 * time.Millisecond})
-			got, _, err := rig.vs.Get(ctx, 1)
-			if err != nil {
+	b.Run("plan=first-hand", func(b *testing.B) {
+		rig := newECBenchRig(b, "rs4.2", benchRTT)
+		ctx := context.Background()
+		payload, holders := rig.put(b, ctx, 1)
+		// Slow, not dead: the fetch succeeds if waited on, so only the hedge
+		// timer (never an error) cuts the first read over to parity.
+		rig.inj.AddRule(faulty.Rule{Kind: faulty.KindDelay, Verb: faulty.VerbAny,
+			From: faulty.AnyNode, To: holders[0], Pct: 100, Delay: 20 * time.Millisecond})
+		got, _, err := rig.vs.Get(ctx, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			b.Fatal("read returned wrong bytes")
+		}
+		b.SetBytes(ecBenchPayload)
+		lats := make([]time.Duration, 0, b.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			if _, _, err := rig.vs.Get(ctx, 1); err != nil {
 				b.Fatal(err)
 			}
-			if !bytes.Equal(got, payload) {
-				b.Fatal("read returned wrong bytes")
-			}
-			b.SetBytes(ecBenchPayload)
-			lats := make([]time.Duration, 0, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				if _, _, err := rig.vs.Get(ctx, 1); err != nil {
-					b.Fatal(err)
-				}
-				lats = append(lats, time.Since(start))
-			}
-			b.StopTimer()
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			p99 := lats[len(lats)*99/100]
-			b.ReportMetric(float64(p99)/1e6, "p99-ms")
-		})
-	}
+			lats = append(lats, time.Since(start))
+		}
+		b.StopTimer()
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		p99 := lats[len(lats)*99/100]
+		b.ReportMetric(float64(p99)/1e6, "p99-ms")
+	})
 }

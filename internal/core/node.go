@@ -460,7 +460,11 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	}
 	n.slos = metrics.NewSLOSet(n.reg, obj)
 	n.obsStore = metrics.NewClusterStore(int64(cfg.ID))
-	n.remote = &remoteStore{node: n, handles: map[remoteKey]remoteHandle{}}
+	n.remote = &remoteStore{
+		node:    n,
+		lat:     peerLatency{est: map[transport.NodeID]time.Duration{}},
+		handles: map[remoteKey]remoteHandle{},
+	}
 	spec, err := parseDurability(cfg.Durability, cfg.ReplicationFactor)
 	if err != nil {
 		return nil, err
@@ -478,9 +482,13 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	n.policy = repl
 	if spec.coding {
 		n.ecReg = metrics.NewRegistry(fmt.Sprintf("ec/node-%d", cfg.ID))
+		var getSLO time.Duration
+		if slo, ok := n.slos.Get("get"); ok {
+			getSLO = slo.Objective
+		}
 		coding, err := ec.NewPolicy(spec.k, spec.m, n.remote,
 			ec.WithPolicyMetrics(n.ecReg),
-			ec.WithHedge(n.hedgeFor))
+			ec.WithHedge(n.remote.latency, getSLO))
 		if err != nil {
 			return nil, err
 		}
@@ -540,24 +548,6 @@ func (n *Node) CodingMetrics() *metrics.Registry { return n.ecReg }
 
 // DurabilityPolicy exposes the active durability policy ("rf3", "rs4.2").
 func (n *Node) DurabilityPolicy() replication.Policy { return n.policy }
-
-// hedgeFor derives the read hedge delay for one donor from the digest
-// plane: twice the donor's served-get p99 (a healthy donor virtually never
-// exceeds it, a struggling one will), falling back to the node's own get SLO
-// objective before any digest for the donor has arrived.
-func (n *Node) hedgeFor(peer replication.NodeID) time.Duration {
-	if nd, ok := n.obsStore.Get(int64(peer)); ok {
-		if hs, ok := nd.D.OpFamilyHistogram("get"); ok && hs.Count > 0 {
-			if p99 := hs.Quantile(0.99); p99 > 0 {
-				return 2 * p99
-			}
-		}
-	}
-	if slo, ok := n.slos.Get("get"); ok {
-		return slo.Objective
-	}
-	return 0
-}
 
 // SetMetricsTree installs the process-wide metrics tree the node serves to
 // remote stats clients over the control plane (dmctl stats).
@@ -711,10 +701,10 @@ func (n *Node) Server(name string) (*VirtualServer, error) {
 }
 
 // candidates lists alive members of this node's sharing group, excluding
-// itself, as placement candidates weighted by advertised free memory. When
-// the observability plane has a digest for a member, its served-get p99
-// rides along as the candidate's latency figure, so a load-aware balancer
-// can discount a roomy-but-saturated peer.
+// itself, as placement candidates weighted by advertised free memory. The
+// owner's own latency estimate for each member rides along as the
+// candidate's latency figure, so a load-aware balancer can discount a
+// roomy-but-slow peer.
 func (n *Node) candidates() ([]placement.Candidate, error) {
 	group, err := n.dir.GroupOf(cluster.NodeID(n.cfg.ID))
 	if err != nil {
@@ -726,13 +716,11 @@ func (n *Node) candidates() ([]placement.Candidate, error) {
 		if m.ID == cluster.NodeID(n.cfg.ID) {
 			continue
 		}
-		c := placement.Candidate{Node: placement.NodeID(m.ID), FreeBytes: m.FreeBytes}
-		if nd, ok := n.obsStore.Get(int64(m.ID)); ok {
-			if hs, ok := nd.D.OpFamilyHistogram("get"); ok && hs.Count > 0 {
-				c.Latency = hs.Quantile(0.99)
-			}
-		}
-		cands = append(cands, c)
+		cands = append(cands, placement.Candidate{
+			Node:      placement.NodeID(m.ID),
+			FreeBytes: m.FreeBytes,
+			Latency:   n.remote.latency(replication.NodeID(m.ID)),
+		})
 	}
 	if len(cands) == 0 {
 		return nil, ErrNoCandidates

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"godm/internal/ec"
 	"godm/internal/replication"
+	"godm/internal/trace"
 	"godm/internal/transport"
 )
 
@@ -15,9 +17,11 @@ import (
 // pools, while the data plane moves payloads with one-sided RDMA writes and
 // reads (§IV.G: "one-sided RDMA write/read operations for data plane
 // activities and RDMA send/receive operations for control plane
-// activities").
+// activities"). It times every verb it issues into a per-donor latency
+// estimate, which steers striped reads and placement.
 type remoteStore struct {
 	node *Node
+	lat  peerLatency
 
 	mu sync.Mutex
 	// handles is the client half of the disaggregated memory map: where each
@@ -26,6 +30,58 @@ type remoteStore struct {
 	// classes records the size class to request per key (set by the caller
 	// before a replicated write fans out).
 	classes sync.Map // uint64 -> int
+}
+
+// peerLatency is the owner's first-hand latency estimate per donor: an EWMA
+// (weight 1/8) of the elapsed time of every verb issued to it, on the
+// trace.Now clock (simulated time under the DES). A one-sided read never
+// reaches the donor's CPU, so only the owner can time it. A verb that fails
+// or is cancelled only raises the estimate: a straggler the hedge cancels
+// still shows as slow, and a dead donor that fails fast never looks fast.
+type peerLatency struct {
+	mu  sync.Mutex
+	est map[transport.NodeID]time.Duration
+}
+
+func (l *peerLatency) observe(to transport.NodeID, elapsed time.Duration, err error) {
+	l.mu.Lock()
+	cur := l.est[to]
+	switch {
+	case err != nil:
+		l.est[to] = max(cur, elapsed)
+	case cur == 0:
+		l.est[to] = elapsed
+	default:
+		l.est[to] = cur + (elapsed-cur)/8
+	}
+	l.mu.Unlock()
+}
+
+// latency implements ec.LatencyFunc: the donor's estimate, zero when none
+// was measured.
+func (s *remoteStore) latency(node replication.NodeID) time.Duration {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	return s.lat.est[transport.NodeID(node)]
+}
+
+// call issues a control-plane Call to a donor and times it.
+func (s *remoteStore) call(ctx context.Context, to transport.NodeID, req []byte) ([]byte, error) {
+	start := trace.Now(ctx)
+	resp, err := s.node.ep.Call(ctx, to, req)
+	s.lat.observe(to, trace.Now(ctx)-start, err)
+	return resp, err
+}
+
+// readInto issues a one-sided read from a donor's receive region and times it.
+func (s *remoteStore) readInto(ctx context.Context, to transport.NodeID, offset int64, dst []byte) error {
+	start := trace.Now(ctx)
+	err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, offset, dst)
+	s.lat.observe(to, trace.Now(ctx)-start, err)
+	if err != nil {
+		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
+	}
+	return nil
 }
 
 type remoteKey struct {
@@ -64,7 +120,7 @@ func (s *remoteStore) Put(ctx context.Context, node replication.NodeID, id repli
 // the reserved block and records its handle: the one placement path of
 // replicas and shards.
 func (s *remoteStore) place(ctx context.Context, to transport.NodeID, key uint64, class int, req, data []byte) error {
-	resp, err := s.node.ep.Call(ctx, to, req)
+	resp, err := s.call(ctx, to, req)
 	if err != nil {
 		return fmt.Errorf("core: alloc on node %d: %w", to, err)
 	}
@@ -72,14 +128,17 @@ func (s *remoteStore) place(ctx context.Context, to transport.NodeID, key uint64
 	if err != nil {
 		return err
 	}
-	if err := s.node.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data); err != nil {
+	start := trace.Now(ctx)
+	err = s.node.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data)
+	s.lat.observe(to, trace.Now(ctx)-start, err)
+	if err != nil {
 		// Release the reservation so a half-finished put strands no remote
 		// bytes; best-effort on a detached context (the write failure may be
 		// the caller's context dying), and the remote's eviction path is the
 		// backstop if the free itself is lost.
 		fctx, cancel := detached(ctx)
 		defer cancel()
-		_, _ = s.node.ep.Call(fctx, to, encodeFreeReq(freeReq{Key: key, Offset: alloc.Offset}))
+		_, _ = s.call(fctx, to, encodeFreeReq(freeReq{Key: key, Offset: alloc.Offset}))
 		return fmt.Errorf("core: one-sided write to node %d: %w", to, err)
 	}
 	s.mu.Lock()
@@ -102,8 +161,8 @@ func (s *remoteStore) Get(ctx context.Context, node replication.NodeID, id repli
 		return nil, fmt.Errorf("core: no handle for entry %d on node %d", id, to)
 	}
 	data := make([]byte, h.dataLen)
-	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset, data); err != nil {
-		return nil, fmt.Errorf("core: one-sided read from node %d: %w", to, err)
+	if err := s.readInto(ctx, to, h.offset, data); err != nil {
+		return nil, err
 	}
 	return data, nil
 }
@@ -121,7 +180,7 @@ func (s *remoteStore) Delete(ctx context.Context, node replication.NodeID, id re
 	if !ok {
 		return nil // absent: idempotent
 	}
-	resp, err := s.node.ep.Call(ctx, to, encodeFreeReq(freeReq{Key: key, Offset: h.offset}))
+	resp, err := s.call(ctx, to, encodeFreeReq(freeReq{Key: key, Offset: h.offset}))
 	if err != nil {
 		// The remote is unreachable; its eviction path reclaims the block.
 		return nil
@@ -150,8 +209,8 @@ func (s *remoteStore) GetAt(ctx context.Context, node replication.NodeID, id rep
 		return nil, fmt.Errorf("core: range [%d,%d) exceeds payload %d", off, off+n, h.dataLen)
 	}
 	data := make([]byte, n)
-	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset+int64(off), data); err != nil {
-		return nil, fmt.Errorf("core: one-sided read from node %d: %w", to, err)
+	if err := s.readInto(ctx, to, h.offset+int64(off), data); err != nil {
+		return nil, err
 	}
 	return data, nil
 }
@@ -170,10 +229,7 @@ func (s *remoteStore) GetInto(ctx context.Context, node replication.NodeID, id r
 	if len(dst) != h.dataLen {
 		return fmt.Errorf("core: dst is %d bytes, entry %d stores %d", len(dst), id, h.dataLen)
 	}
-	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset, dst); err != nil {
-		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
-	}
-	return nil
+	return s.readInto(ctx, to, h.offset, dst)
 }
 
 // PutShard implements ec.ShardStore: reserve a shard block remotely —

@@ -21,11 +21,11 @@ type ShardStore interface {
 	PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error
 }
 
-// HedgeFunc returns the hedge delay for reads touching a donor: how long a
-// shard fetch may run before parity is fetched in its stead. The node
-// manager derives it from the digest plane's per-donor get-p99; zero means
-// no figure is known for that donor.
-type HedgeFunc func(node replication.NodeID) time.Duration
+// LatencyFunc returns the owner's latency estimate for a donor; zero means
+// no figure is known for it. The node manager times every verb it issues to
+// a donor itself: a one-sided read never reaches the donor's CPU, so only
+// the owner can time it.
+type LatencyFunc func(node replication.NodeID) time.Duration
 
 // rollbackTimeout bounds the detached rollback of an aborted striped write,
 // mirroring the replication protocol's.
@@ -45,6 +45,7 @@ type codingMetrics struct {
 	reads        *metrics.Counter
 	degraded     *metrics.Counter
 	hedges       *metrics.Counter
+	planned      *metrics.Counter
 	restores     *metrics.Counter
 	reconstructs *metrics.Counter
 	writeLatency *metrics.Histogram
@@ -58,6 +59,7 @@ func newCodingMetrics(reg *metrics.Registry) codingMetrics {
 		reads:        reg.Counter("reads"),
 		degraded:     reg.Counter("degraded_reads"),
 		hedges:       reg.Counter("hedged_reads"),
+		planned:      reg.Counter("planned_parity_reads"),
 		restores:     reg.Counter("restores"),
 		reconstructs: reg.Counter("reconstructs"),
 		writeLatency: reg.Histogram("write_latency"),
@@ -67,15 +69,16 @@ func newCodingMetrics(reg *metrics.Registry) codingMetrics {
 
 // CodingPolicy implements replication.Policy with RS(k, m) striping: writes
 // encode on the owner and fan the k+m shards out to distinct donors in one
-// round trip; reads scatter the k data shards straight into the result
-// buffer and reconstruct from parity when a donor is dead or slower than its
-// hedge delay; Restore rebuilds lost shards from any k survivors instead of
+// round trip; reads scatter the k fastest shards straight into the result
+// buffer and reconstruct from parity when a donor is slow, dead or outrun
+// by the hedge; Restore rebuilds lost shards from any k survivors instead of
 // re-copying full blocks.
 type CodingPolicy struct {
-	code  *Code
-	store replication.Store
-	hedge HedgeFunc
-	met   codingMetrics
+	code          *Code
+	store         replication.Store
+	latency       LatencyFunc
+	hedgeFallback time.Duration
+	met           codingMetrics
 
 	mu      sync.Mutex
 	stripes map[replication.EntryID]stripeInfo
@@ -84,9 +87,14 @@ type CodingPolicy struct {
 // PolicyOption configures a CodingPolicy.
 type PolicyOption func(*CodingPolicy)
 
-// WithHedge installs the per-donor hedge-delay source.
-func WithHedge(fn HedgeFunc) PolicyOption {
-	return func(p *CodingPolicy) { p.hedge = fn }
+// WithHedge installs the per-donor latency estimates the read plan and its
+// hedge timer derive from, and the hedge delay for reads whose planned
+// donors have no estimate yet.
+func WithHedge(fn LatencyFunc, fallback time.Duration) PolicyOption {
+	return func(p *CodingPolicy) {
+		p.latency = fn
+		p.hedgeFallback = fallback
+	}
 }
 
 // WithPolicyMetrics mounts the policy's instrumentation on reg.
@@ -232,26 +240,10 @@ func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id
 	return err
 }
 
-// hedgeDelay derives one read's hedge timer: the worst per-donor figure
-// across the data shard donors (a read is as slow as its slowest donor).
-// Zero — no figures known, or no hedge source installed — disables the
-// timer; dead donors still trigger parity immediately via fetch errors.
-func (p *CodingPolicy) hedgeDelay(nodes []replication.NodeID) time.Duration {
-	if p.hedge == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, n := range nodes[:p.code.k] {
-		if h := p.hedge(n); h > d {
-			d = h
-		}
-	}
-	return d
-}
-
-// Read implements replication.Policy: fetch the k data shards scatter-style
-// into the result buffer, hedging to parity + reconstruction when a donor is
-// dead or slow.
+// Read implements replication.Policy: fetch the k fastest shards
+// scatter-style into the result buffer — the data shards unless a donor's
+// estimate marks it slow — hedging to the rest + reconstruction when a
+// donor is dead or dawdles.
 func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id replication.EntryID) ([]byte, replication.NodeID, error) {
 	total := p.code.k + p.code.m
 	if len(nodes) != total {
@@ -265,15 +257,26 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 	sp.Annotate("entry", uint64(id))
 	p.met.reads.Inc()
 	start := trace.Now(ctx)
+	var est [maxShards]time.Duration
+	if p.latency != nil {
+		for i, n := range nodes {
+			est[i] = p.latency(n)
+		}
+	}
 	dst := make([]byte, raw)
 	err := p.code.ReadInto(ctx, dst, func(ctx context.Context, idx int, buf []byte) error {
 		return p.getShard(ctx, nodes[idx], id, buf)
 	}, ReadOpts{
-		Serial: replication.Serial(ctx),
-		Hedge:  p.hedgeDelay(nodes),
+		Serial:  replication.Serial(ctx),
+		Latency: est[:total],
+		Hedge:   p.hedgeFallback,
 		OnHedge: func() {
 			p.met.hedges.Inc()
 			sp.Annotate("hedged", 1)
+		},
+		OnPlan: func(parity int) {
+			p.met.planned.Add(int64(parity))
+			sp.Annotate("planned_parity", parity)
 		},
 		OnDegraded: func() {
 			p.met.degraded.Inc()

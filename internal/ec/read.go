@@ -19,17 +19,28 @@ type ReadOpts struct {
 	// time in index order and parity only on error. The discrete-event
 	// simulation requires it — a simulated process must issue fabric ops
 	// serially from its own goroutine — and the chaos replay tests rely on
-	// the resulting fixed op sequence.
+	// the resulting fixed op sequence. A serial read ignores Latency.
 	Serial bool
-	// Hedge arms the tail-latency timer: if the k data fetches have not all
-	// completed after this long, parity fetches launch and the read completes
-	// from the fastest k shards. Zero disables the timer (parity still
-	// launches immediately when a data fetch fails).
+	// Latency holds one latency estimate per shard, indexed like the stripe;
+	// zero marks an unknown donor, which counts as fast. The concurrent read
+	// plans from it: it fetches every data shard whose estimate is at most
+	// twice the k-th lowest estimate, fills the plan up to k with the
+	// fastest parity shards, and arms the hedge at twice the plan's largest
+	// estimate. Empty (or all estimates close) plans the k data shards.
+	Latency []time.Duration
+	// Hedge is the hedge delay used when no planned shard has an estimate:
+	// if the planned fetches have not all completed after this long, the
+	// remaining shards launch and the read completes from the fastest k.
+	// Zero disables the timer (the rest still launch immediately when a
+	// planned fetch fails).
 	Hedge time.Duration
-	// OnHedge fires when the hedge timer launches parity fetches.
+	// OnHedge fires when the hedge timer launches the remaining shards.
 	OnHedge func()
-	// OnDegraded fires when the read had to reconstruct (a donor dead or
-	// outrun by the hedge).
+	// OnPlan fires before any fetch when the plan substitutes parity
+	// shards for slow data shards, with the number substituted.
+	OnPlan func(parity int)
+	// OnDegraded fires when the read had to reconstruct (a donor dead,
+	// outrun by the hedge, or planned around as slow).
 	OnDegraded func()
 }
 
@@ -125,9 +136,64 @@ func (c *Code) readSerial(ctx context.Context, dst []byte, fetch FetchFunc, opts
 	return nil
 }
 
+// plan marks the shards a concurrent read fetches first. F is the k shards
+// with the lowest estimates (ties to the lower index) and w the largest
+// estimate in F: every data shard within 2w stays in the plan — the same 2x
+// margin the hedge timer allows — and the fastest parity shards fill it up to
+// k. It reports the plan's largest estimate and how many parity shards it
+// substituted. With no estimates the plan is the k data shards.
+func (c *Code) plan(est []time.Duration, planned *[maxShards]bool) (slowest time.Duration, parity int) {
+	total := c.k + c.m
+	if len(est) != total {
+		for j := 0; j < c.k; j++ {
+			planned[j] = true
+		}
+		return 0, 0
+	}
+	// Insertion sort by estimate; stable, so ties keep index order.
+	var order [maxShards]int
+	for i := 0; i < total; i++ {
+		j := i
+		for ; j > 0 && est[order[j-1]] > est[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	w := est[order[c.k-1]]
+	n := 0
+	for j := 0; j < c.k; j++ {
+		if est[j] <= 2*w {
+			planned[j] = true
+			slowest = max(slowest, est[j])
+			n++
+		}
+	}
+	for _, i := range order[:total] {
+		if n == c.k {
+			break
+		}
+		if i >= c.k {
+			planned[i] = true
+			slowest = max(slowest, est[i])
+			parity++
+			n++
+		}
+	}
+	return slowest, parity
+}
+
 func (c *Code) readConcurrent(ctx context.Context, dst []byte, fetch FetchFunc, opts ReadOpts) error {
 	s := c.ShardLen(len(dst))
 	total := c.k + c.m
+	var planned [maxShards]bool
+	slowest, planParity := c.plan(opts.Latency, &planned)
+	hedgeAfter := opts.Hedge
+	if slowest > 0 {
+		hedgeAfter = 2 * slowest
+	}
+	if planParity > 0 && opts.OnPlan != nil {
+		opts.OnPlan(planParity)
+	}
 	shards := make([][]byte, total)
 	var scratch [][]byte
 
@@ -138,11 +204,19 @@ func (c *Code) readConcurrent(ctx context.Context, dst []byte, fetch FetchFunc, 
 	ok := make([]bool, total)
 	var wg sync.WaitGroup
 	launched := make([]bool, total)
+	inflight, unlaunched := 0, total
 	launch := func(i int) {
 		if launched[i] {
 			return
 		}
 		launched[i] = true
+		inflight++
+		unlaunched--
+		if shards[i] == nil {
+			buf := bufpool.Get(s)
+			scratch = append(scratch, buf)
+			shards[i] = buf
+		}
 		fctx, cancel := context.WithCancel(ctx)
 		cancels[i] = cancel
 		wg.Add(1)
@@ -153,33 +227,36 @@ func (c *Code) readConcurrent(ctx context.Context, dst []byte, fetch FetchFunc, 
 		}()
 	}
 
+	// Every data shard gets its destination up front, fetched or not: a
+	// shard left out of the plan is reconstructed in place.
 	for j := 0; j < c.k; j++ {
 		buf, isScratch := dataDst(dst, j, s)
 		if isScratch {
 			scratch = append(scratch, buf)
 		}
 		shards[j] = buf
-		launch(j)
+	}
+	for i := 0; i < total; i++ {
+		if planned[i] {
+			launch(i)
+		}
 	}
 
 	hedged := false
-	hedgeParity := func() {
+	launchRest := func() {
 		if hedged {
 			return
 		}
 		hedged = true
-		for i := c.k; i < total; i++ {
-			buf := bufpool.Get(s)
-			scratch = append(scratch, buf)
-			shards[i] = buf
+		for i := 0; i < total; i++ {
 			launch(i)
 		}
 	}
 
 	var timerC <-chan time.Time
 	var timer *time.Timer
-	if opts.Hedge > 0 {
-		timer = time.NewTimer(opts.Hedge)
+	if hedgeAfter > 0 {
+		timer = time.NewTimer(hedgeAfter)
 		timerC = timer.C
 		defer timer.Stop()
 	}
@@ -205,33 +282,23 @@ func (c *Code) readConcurrent(ctx context.Context, dst []byte, fetch FetchFunc, 
 	// drainPending waits for every launched fetch to report, so no goroutine
 	// can still be writing into dst (or a buffer we are about to decode into).
 	drainPending := func() {
-		remaining := 0
-		for i := 0; i < total; i++ {
-			if launched[i] && !done[i] {
-				remaining++
-			}
-		}
-		for ; remaining > 0; remaining-- {
+		for ; inflight > 0; inflight-- {
 			idx := <-results
 			done[idx] = true
 			ok[idx] = errs[idx] == nil
 		}
 	}
 
-	okData, okTotal, pending := 0, 0, c.k
+	okData, okTotal := 0, 0
 	var lastErr error
 	for okData < c.k && okTotal < c.k {
 		// Give up once the outstanding and unlaunched fetches cannot reach k.
-		spare := 0
-		if !hedged {
-			spare = c.m
-		}
-		if okTotal+pending+spare < c.k {
+		if okTotal+inflight+unlaunched < c.k {
 			break
 		}
 		select {
 		case idx := <-results:
-			pending--
+			inflight--
 			done[idx] = true
 			if errs[idx] == nil {
 				ok[idx] = true
@@ -241,10 +308,7 @@ func (c *Code) readConcurrent(ctx context.Context, dst []byte, fetch FetchFunc, 
 				}
 			} else {
 				lastErr = errs[idx]
-				if !hedged {
-					hedgeParity()
-					pending += c.m
-				}
+				launchRest()
 			}
 		case <-timerC:
 			timerC = nil
@@ -252,16 +316,15 @@ func (c *Code) readConcurrent(ctx context.Context, dst []byte, fetch FetchFunc, 
 				if opts.OnHedge != nil {
 					opts.OnHedge()
 				}
-				hedgeParity()
-				pending += c.m
+				launchRest()
 			}
 		}
 	}
 
 	if okData == c.k {
-		// Fast path: every data shard landed in place. Any hedged parity
-		// fetches still in flight write only into scratch; cancel them and
-		// let the drain release scratch in the background.
+		// Fast path: every data shard landed in place. Any hedged fetches
+		// still in flight write only into scratch; cancel them and let the
+		// drain release scratch in the background.
 		cancelPending()
 		for j := 0; j < c.k; j++ {
 			if j*s+s > len(dst) {

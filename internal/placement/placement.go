@@ -24,9 +24,9 @@ type Candidate struct {
 	Node NodeID
 	// FreeBytes is the node's advertised free receive-pool capacity.
 	FreeBytes int64
-	// Latency is the observed round-trip figure to the node (for example
-	// the digest plane's per-node get p99). Zero means unknown; only the
-	// load-aware balancer consults it.
+	// Latency is the observed round-trip figure to the node (the node
+	// manager's own per-donor verb latency estimate). Zero means unknown;
+	// only the load-aware balancer consults it.
 	Latency time.Duration
 	// Group tags the node's failure domain (rack, chassis, power feed).
 	// Zero means untagged; only the SpreadDomains decorator consults it.
@@ -223,12 +223,12 @@ func (p *PowerOfTwo) Pick(candidates []Candidate, n int) ([]NodeID, error) {
 	return out, nil
 }
 
-// LoadAware is power-of-two choices scored on live digest figures rather
+// LoadAware is power-of-two choices scored on live latency figures rather
 // than free bytes alone: each pick samples two candidates and keeps the one
 // with the better free-capacity-per-latency score, so a node that is roomy
 // but slow (saturated CPU, deep queues) loses to a slightly fuller fast one.
 // Free-byte figures come from heartbeats and latency figures from the
-// observability plane's per-node digests.
+// owner's own timing of the verbs it issues to each node.
 type LoadAware struct {
 	mu  sync.Mutex
 	rng *rand.Rand
