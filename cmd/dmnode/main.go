@@ -61,7 +61,7 @@ func run(args []string) error {
 		hbMode    = fs.String("heartbeat", "mesh", "control-plane scheme: mesh (all-to-all) or tree (members<->group leader<->root, O(group) per tick)")
 		groupSize = fs.Int("group-size", 0, "directory group size for the heartbeat tree (0 = one flat group)")
 		drain     = fs.Bool("drain", false, "on shutdown, decommission first: migrate hosted blocks to peers and announce departure")
-		balancer  = fs.String("balancer", "power-of-two", "remote-placement policy: power-of-two, load-aware, weighted-rr, round-robin, or random")
+		balancer  = fs.String("balancer", "power-of-two", "remote-placement policy among donors within the get objective: power-of-two, weighted-rr, round-robin, or random")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -289,8 +289,6 @@ func buildBalancer(name string, seed int64) (placement.Balancer, error) {
 	switch name {
 	case "power-of-two":
 		return placement.NewPowerOfTwo(seed), nil
-	case "load-aware":
-		return placement.NewLoadAware(seed, 0), nil
 	case "weighted-rr":
 		return placement.NewWeightedRoundRobin(seed), nil
 	case "round-robin":
@@ -298,7 +296,7 @@ func buildBalancer(name string, seed int64) (placement.Balancer, error) {
 	case "random":
 		return placement.NewRandom(seed), nil
 	default:
-		return nil, fmt.Errorf("bad -balancer %q, want power-of-two, load-aware, weighted-rr, round-robin, or random", name)
+		return nil, fmt.Errorf("bad -balancer %q, want power-of-two, weighted-rr, round-robin, or random", name)
 	}
 }
 

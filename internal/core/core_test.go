@@ -320,7 +320,7 @@ func TestHeartbeatUpdatesCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cands, err := tc.nodes[0].candidates()
+	cands, err := tc.nodes[0].candidates(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func (n *Node) migrateBlock(ctx context.Context, b hostedBlock) error {
 	exclude := []transport.NodeID{b.ref.owner}
 	var lastErr error
 	for {
-		succs, perr := n.pickRemotes(1, exclude)
+		succs, perr := n.pickRemotes(ctx, 1, exclude)
 		if perr != nil {
 			if errors.Is(perr, ErrNoCandidates) {
 				break

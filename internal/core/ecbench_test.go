@@ -183,6 +183,40 @@ func BenchmarkECWriteRTT(b *testing.B) {
 	}
 }
 
+// BenchmarkECWriteSlowDonorRTT is stripe-rs42's write path: RS(4,2) over
+// the 1 ms emulated RTT with one donor +4 ms on every verb from the start,
+// timing steady-state overwrites that rotate over many entries, so each put
+// allocates a new stripe and frees the old one. Placement skips the slow
+// donor once the owner has timed it above the get objective; without that
+// rule six of every seven stripes hold a shard there and each put waits on
+// it for the alloc, the write and the old stripe's free. The p99 is
+// reported per run; about once a second the donor's timings age out and
+// one put probes it again.
+func BenchmarkECWriteSlowDonorRTT(b *testing.B) {
+	const entries = 64
+	rig := newECBenchRig(b, "rs4.2", benchRTT)
+	rig.inj.AddRule(faulty.Rule{Kind: faulty.KindDelay, Verb: faulty.VerbAny,
+		From: faulty.AnyNode, To: slowDonor, Pct: 100, Delay: 4 * time.Millisecond})
+	ctx := context.Background()
+	payloads := make([][]byte, entries)
+	for i := range payloads {
+		payloads[i], _ = rig.put(b, ctx, pagetable.EntryID(i+1))
+	}
+	b.SetBytes(ecBenchPayload)
+	lats := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if err := rig.vs.PutRemote(ctx, pagetable.EntryID(i%entries+1), payloads[i%entries], ecBenchPayload, ecBenchPayload); err != nil {
+			b.Fatal(err)
+		}
+		lats = append(lats, time.Since(start))
+	}
+	b.StopTimer()
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	b.ReportMetric(float64(lats[len(lats)*99/100])/1e6, "p99-ms")
+}
+
 // BenchmarkECReadHedgedTailRTT measures what first-hand donor latency buys:
 // one data-shard donor turns slow (+20 ms per verb on top of the 1 ms RTT)
 // after the owner has timed it fast. The first read hedges — its timer is

@@ -224,6 +224,9 @@ type Node struct {
 	ecReg   *metrics.Registry // coding policy instrumentation (nil unless rs<K>.<M>)
 	met     coreMetrics       // pre-bound hot-path instruments from reg
 	slos    *metrics.SLOSet   // per-op-family latency objectives (tail attribution)
+	// getObjective is the get SLO: the striped-read hedge fallback and the
+	// per-donor latency above which placement skips a donor.
+	getObjective time.Duration
 
 	// obsStore is this node's fold point of the cluster observability plane:
 	// the freshest metric digest heard per contributor (self always included).
@@ -356,6 +359,7 @@ type coreMetrics struct {
 	repairsDone       *metrics.Counter
 	harvestedBytes    *metrics.Counter
 	harvestMoved      *metrics.Counter
+	slowSkips         *metrics.Counter
 	recvFreeBytes     *metrics.Gauge
 	remotePutLatency  *metrics.Histogram
 	remoteGetLatency  *metrics.Histogram
@@ -376,6 +380,7 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		repairsDone:       reg.Counter("repairs_done"),
 		harvestedBytes:    reg.Counter("harvested_bytes"),
 		harvestMoved:      reg.Counter("harvest_moved_blocks"),
+		slowSkips:         reg.Counter("placement_slow_skips"),
 		recvFreeBytes:     reg.Gauge("recv_free_bytes"),
 		remotePutLatency:  reg.Histogram("remote_put_latency"),
 		remoteGetLatency:  reg.Histogram("remote_get_latency"),
@@ -459,10 +464,13 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 		obj = metrics.DefaultObjectives(DefaultFabricRTT)
 	}
 	n.slos = metrics.NewSLOSet(n.reg, obj)
+	if slo, ok := n.slos.Get("get"); ok {
+		n.getObjective = slo.Objective
+	}
 	n.obsStore = metrics.NewClusterStore(int64(cfg.ID))
 	n.remote = &remoteStore{
 		node:    n,
-		lat:     peerLatency{est: map[transport.NodeID]time.Duration{}},
+		lat:     peerLatency{peers: map[transport.NodeID]*peerTimes{}},
 		handles: map[remoteKey]remoteHandle{},
 	}
 	spec, err := parseDurability(cfg.Durability, cfg.ReplicationFactor)
@@ -482,13 +490,9 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	n.policy = repl
 	if spec.coding {
 		n.ecReg = metrics.NewRegistry(fmt.Sprintf("ec/node-%d", cfg.ID))
-		var getSLO time.Duration
-		if slo, ok := n.slos.Get("get"); ok {
-			getSLO = slo.Objective
-		}
 		coding, err := ec.NewPolicy(spec.k, spec.m, n.remote,
 			ec.WithPolicyMetrics(n.ecReg),
-			ec.WithHedge(n.remote.latency, getSLO))
+			ec.WithHedge(n.remote.latency, n.getObjective))
 		if err != nil {
 			return nil, err
 		}
@@ -701,11 +705,9 @@ func (n *Node) Server(name string) (*VirtualServer, error) {
 }
 
 // candidates lists alive members of this node's sharing group, excluding
-// itself, as placement candidates weighted by advertised free memory. The
-// owner's own latency estimate for each member rides along as the
-// candidate's latency figure, so a load-aware balancer can discount a
-// roomy-but-slow peer.
-func (n *Node) candidates() ([]placement.Candidate, error) {
+// itself, as placement candidates weighted by advertised free memory. Each
+// carries the owner's own timing of the member as placement sees it at now.
+func (n *Node) candidates(now time.Duration) ([]placement.Candidate, error) {
 	group, err := n.dir.GroupOf(cluster.NodeID(n.cfg.ID))
 	if err != nil {
 		return nil, err
@@ -719,7 +721,7 @@ func (n *Node) candidates() ([]placement.Candidate, error) {
 		cands = append(cands, placement.Candidate{
 			Node:      placement.NodeID(m.ID),
 			FreeBytes: m.FreeBytes,
-			Latency:   n.remote.latency(replication.NodeID(m.ID)),
+			Latency:   n.remote.floor(transport.NodeID(m.ID), now),
 		})
 	}
 	if len(cands) == 0 {
@@ -728,9 +730,16 @@ func (n *Node) candidates() ([]placement.Candidate, error) {
 	return cands, nil
 }
 
-// pickRemotes selects count distinct remote nodes, excluding those listed.
-func (n *Node) pickRemotes(count int, exclude []transport.NodeID) ([]replication.NodeID, error) {
-	cands, err := n.candidates()
+// pickRemotes selects count distinct remote nodes, excluding those listed:
+// the one placement path of puts, repair and migration. The balancer ranks
+// only donors the owner measured at or under the get objective (or has no
+// recent figure for); the fastest slower donors only fill a shortfall. If
+// the healthy donors cannot hold the entry the pick falls back to every
+// candidate, so a slow donor never fails a put.
+func (n *Node) pickRemotes(ctx context.Context, count int, exclude []transport.NodeID) (_ []replication.NodeID, err error) {
+	_, sp := trace.Start(ctx, "placement.pick")
+	defer func() { sp.EndErr(err) }()
+	cands, err := n.candidates(trace.Now(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -747,12 +756,21 @@ func (n *Node) pickRemotes(count int, exclude []transport.NodeID) ([]replication
 		}
 		cands = filtered
 	}
-	picked, err := n.balancer.Pick(cands, count)
+	pool, skipped := placement.WithinObjective(cands, n.getObjective, count)
+	picked, err := n.balancer.Pick(pool, count)
+	if skipped > 0 && errors.Is(err, placement.ErrInsufficientCandidates) {
+		picked, err = n.balancer.Pick(cands, count)
+		skipped = 0
+	}
 	if err != nil {
 		if errors.Is(err, placement.ErrInsufficientCandidates) {
 			return nil, fmt.Errorf("%w: %v", ErrNoCandidates, err)
 		}
 		return nil, err
+	}
+	if skipped > 0 {
+		n.met.slowSkips.Add(int64(skipped))
+		sp.Annotate("slow_skipped", skipped)
 	}
 	out := make([]replication.NodeID, len(picked))
 	for i, p := range picked {
@@ -1317,7 +1335,7 @@ func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.Node
 			ex = append(ex, transport.NodeID(e))
 		}
 		ex = append(ex, job.lost...)
-		return n.pickRemotes(count, ex)
+		return n.pickRemotes(ctx, count, ex)
 	}
 	newSet, still, err := n.policy.Restore(ctx, nodes, replication.EntryID(job.key), lost, pick)
 	if err != nil {

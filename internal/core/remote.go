@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,28 +33,63 @@ type remoteStore struct {
 	classes sync.Map // uint64 -> int
 }
 
-// peerLatency is the owner's first-hand latency estimate per donor: an EWMA
-// (weight 1/8) of the elapsed time of every verb issued to it, on the
-// trace.Now clock (simulated time under the DES). A one-sided read never
-// reaches the donor's CPU, so only the owner can time it. A verb that fails
-// or is cancelled only raises the estimate: a straggler the hedge cancels
-// still shows as slow, and a dead donor that fails fast never looks fast.
+// peerLatency is the owner's first-hand timing of every verb it issues to
+// each donor, on the trace.Now clock (simulated time under the DES). A
+// one-sided read never reaches the donor's CPU, so only the owner can time
+// it.
 type peerLatency struct {
-	mu  sync.Mutex
-	est map[transport.NodeID]time.Duration
+	mu    sync.Mutex
+	peers map[transport.NodeID]*peerTimes
 }
 
-func (l *peerLatency) observe(to transport.NodeID, elapsed time.Duration, err error) {
+// peerTimes holds two figures per donor. est, the read plan's estimate, is
+// an EWMA (weight 1/8) of every verb; a verb that fails or is cancelled
+// only raises it, so a straggler the hedge cancels still shows as slow and
+// a dead donor that fails fast never looks fast. ok holds the latest
+// successful verbs, for placement: a donor is slow only when every one of
+// them took longer than the objective, so one delayed or torn verb never
+// moves a stripe (an EWMA raised by one failed 4 ms verb can sit just over
+// a 4 ms objective on one fabric and just under it on another).
+type peerTimes struct {
+	est time.Duration
+	at  time.Duration // end of the latest verb
+	ok  [placeWindow]time.Duration
+	n   int // successful verbs seen; ok is a ring indexed by n
+}
+
+// placeWindow is how many successful verbs in a row must each exceed the
+// get objective before placement skips a donor.
+const placeWindow = 4
+
+// staleAfter is how long a donor's timings steer placement without a fresh
+// verb. Placement stops issuing verbs to a donor it measured slow, so
+// without aging a donor that recovered would never be timed again; past
+// staleAfter it reads as unknown and the next pick may use it.
+const staleAfter = time.Second
+
+// observe folds one verb issued at start and finished at end into to's
+// timings.
+func (l *peerLatency) observe(to transport.NodeID, start, end time.Duration, err error) {
+	elapsed := end - start
 	l.mu.Lock()
-	cur := l.est[to]
+	p := l.peers[to]
+	if p == nil {
+		p = &peerTimes{}
+		l.peers[to] = p
+	}
 	switch {
 	case err != nil:
-		l.est[to] = max(cur, elapsed)
-	case cur == 0:
-		l.est[to] = elapsed
+		p.est = max(p.est, elapsed)
+	case p.est == 0:
+		p.est = elapsed
 	default:
-		l.est[to] = cur + (elapsed-cur)/8
+		p.est += (elapsed - p.est) / 8
 	}
+	if err == nil {
+		p.ok[p.n%placeWindow] = elapsed
+		p.n++
+	}
+	p.at = end
 	l.mu.Unlock()
 }
 
@@ -62,14 +98,31 @@ func (l *peerLatency) observe(to transport.NodeID, elapsed time.Duration, err er
 func (s *remoteStore) latency(node replication.NodeID) time.Duration {
 	s.lat.mu.Lock()
 	defer s.lat.mu.Unlock()
-	return s.lat.est[transport.NodeID(node)]
+	if p := s.lat.peers[transport.NodeID(node)]; p != nil {
+		return p.est
+	}
+	return 0
+}
+
+// floor is the donor's latency as placement sees it at now: the fastest of
+// its latest placeWindow successful verbs. It is zero (unknown) until that
+// many verbs succeeded and once no verb has reached the donor for
+// staleAfter.
+func (s *remoteStore) floor(node transport.NodeID, now time.Duration) time.Duration {
+	s.lat.mu.Lock()
+	defer s.lat.mu.Unlock()
+	p := s.lat.peers[node]
+	if p == nil || p.n < placeWindow || now-p.at > staleAfter {
+		return 0
+	}
+	return slices.Min(p.ok[:])
 }
 
 // call issues a control-plane Call to a donor and times it.
 func (s *remoteStore) call(ctx context.Context, to transport.NodeID, req []byte) ([]byte, error) {
 	start := trace.Now(ctx)
 	resp, err := s.node.ep.Call(ctx, to, req)
-	s.lat.observe(to, trace.Now(ctx)-start, err)
+	s.lat.observe(to, start, trace.Now(ctx), err)
 	return resp, err
 }
 
@@ -77,7 +130,7 @@ func (s *remoteStore) call(ctx context.Context, to transport.NodeID, req []byte)
 func (s *remoteStore) readInto(ctx context.Context, to transport.NodeID, offset int64, dst []byte) error {
 	start := trace.Now(ctx)
 	err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, offset, dst)
-	s.lat.observe(to, trace.Now(ctx)-start, err)
+	s.lat.observe(to, start, trace.Now(ctx), err)
 	if err != nil {
 		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
 	}
@@ -130,7 +183,7 @@ func (s *remoteStore) place(ctx context.Context, to transport.NodeID, key uint64
 	}
 	start := trace.Now(ctx)
 	err = s.node.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data)
-	s.lat.observe(to, trace.Now(ctx)-start, err)
+	s.lat.observe(to, start, trace.Now(ctx), err)
 	if err != nil {
 		// Release the reservation so a half-finished put strands no remote
 		// bytes; best-effort on a detached context (the write failure may be

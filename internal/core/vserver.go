@@ -132,9 +132,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 	if oldErr == nil {
 		gen = old.Gen ^ 1
 	}
-	_, pick := trace.Start(ctx, "placement.pick")
-	nodes, err := vs.node.pickRemotes(vs.node.policy.Width(), nil)
-	pick.EndErr(err)
+	nodes, err := vs.node.pickRemotes(ctx, vs.node.policy.Width(), nil)
 	if err != nil {
 		sp.Annotate("err", err)
 		return err

@@ -24,9 +24,9 @@ type Candidate struct {
 	Node NodeID
 	// FreeBytes is the node's advertised free receive-pool capacity.
 	FreeBytes int64
-	// Latency is the observed round-trip figure to the node (the node
-	// manager's own per-donor verb latency estimate). Zero means unknown;
-	// only the load-aware balancer consults it.
+	// Latency is the node manager's own recent timing of the node (the
+	// fastest of its latest successful verbs). Zero means unknown (too few
+	// verbs, or none lately); only WithinObjective consults it.
 	Latency time.Duration
 	// Group tags the node's failure domain (rack, chassis, power feed).
 	// Zero means untagged; only the SpreadDomains decorator consults it.
@@ -68,6 +68,46 @@ func positive(candidates []Candidate) []Candidate {
 		}
 	}
 	return out
+}
+
+// WithinObjective narrows candidates for a pick of n to those whose Latency
+// is at or under objective, an unknown (zero) figure counting as under, so
+// a balancer ranks only healthy donors by free bytes. When fewer than n
+// qualify, the candidates over the objective with the lowest figures (ties
+// to the lower node ID) fill the shortfall. It returns the pool, in the
+// candidates' order, and how many candidates it left out. With nothing to
+// leave out, or a non-positive objective, candidates come back as they are,
+// so a seeded balancer draws exactly as it would without the filter.
+func WithinObjective(candidates []Candidate, objective time.Duration, n int) ([]Candidate, int) {
+	var slow []Candidate
+	if objective > 0 {
+		for _, c := range candidates {
+			if c.Latency > objective {
+				slow = append(slow, c)
+			}
+		}
+	}
+	if len(slow) == 0 {
+		return candidates, 0
+	}
+	sort.Slice(slow, func(i, j int) bool {
+		if slow[i].Latency != slow[j].Latency {
+			return slow[i].Latency < slow[j].Latency
+		}
+		return slow[i].Node < slow[j].Node
+	})
+	fill := min(max(n-(len(candidates)-len(slow)), 0), len(slow))
+	admit := make(map[NodeID]bool, fill)
+	for _, c := range slow[:fill] {
+		admit[c.Node] = true
+	}
+	pool := make([]Candidate, 0, len(candidates)-len(slow)+fill)
+	for _, c := range candidates {
+		if c.Latency <= objective || admit[c.Node] {
+			pool = append(pool, c)
+		}
+	}
+	return pool, len(slow) - fill
 }
 
 // Random picks uniformly at random without replacement.
@@ -223,71 +263,6 @@ func (p *PowerOfTwo) Pick(candidates []Candidate, n int) ([]NodeID, error) {
 	return out, nil
 }
 
-// LoadAware is power-of-two choices scored on live latency figures rather
-// than free bytes alone: each pick samples two candidates and keeps the one
-// with the better free-capacity-per-latency score, so a node that is roomy
-// but slow (saturated CPU, deep queues) loses to a slightly fuller fast one.
-// Free-byte figures come from heartbeats and latency figures from the
-// owner's own timing of the verbs it issues to each node.
-type LoadAware struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-	// ref normalizes the latency discount: figures at or below it cost
-	// nothing, a figure k×ref divides the score by k.
-	ref time.Duration
-}
-
-// NewLoadAware returns a seeded load-aware balancer normalizing latency
-// against refLatency (non-positive defaults to 1 ms).
-func NewLoadAware(seed int64, refLatency time.Duration) *LoadAware {
-	if refLatency <= 0 {
-		refLatency = time.Millisecond
-	}
-	return &LoadAware{rng: rand.New(rand.NewSource(seed)), ref: refLatency}
-}
-
-// Name implements Balancer.
-func (l *LoadAware) Name() string { return "load-aware" }
-
-// score is free capacity discounted by the latency multiple.
-func (l *LoadAware) score(c Candidate) float64 {
-	s := float64(c.FreeBytes)
-	if c.Latency > l.ref {
-		s *= float64(l.ref) / float64(c.Latency)
-	}
-	return s
-}
-
-// Pick implements Balancer. Full candidates are never returned.
-func (l *LoadAware) Pick(candidates []Candidate, n int) ([]NodeID, error) {
-	pool := positive(candidates)
-	if err := validate(pool, n); err != nil {
-		return nil, err
-	}
-	out := make([]NodeID, 0, n)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(out) < n {
-		var chosen int
-		if len(pool) == 1 {
-			chosen = 0
-		} else {
-			a := l.rng.Intn(len(pool))
-			b := l.rng.Intn(len(pool) - 1)
-			if b >= a {
-				b++
-			}
-			chosen = a
-			if l.score(pool[b]) > l.score(pool[a]) {
-				chosen = b
-			}
-		}
-		out = append(out, pool[chosen].Node)
-		pool = append(pool[:chosen], pool[chosen+1:]...)
-	}
-	return out, nil
-}
-
 // domainSpread decorates a balancer with failure-domain spreading for
 // erasure-coded stripes: an RS(k, m) stripe that loses a whole rack must not
 // lose more than m shards, so no two shards should share a Candidate.Group.
@@ -350,7 +325,6 @@ var (
 	_ Balancer = (*RoundRobin)(nil)
 	_ Balancer = (*WeightedRoundRobin)(nil)
 	_ Balancer = (*PowerOfTwo)(nil)
-	_ Balancer = (*LoadAware)(nil)
 	_ Balancer = (*domainSpread)(nil)
 )
 

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -127,7 +128,7 @@ func TestWeightedPrefersFreeMemory(t *testing.T) {
 // or negative free bytes even when that exhausts every sample.
 func TestAllFullClusterFailsPick(t *testing.T) {
 	full := []Candidate{{Node: 0}, {Node: 1, FreeBytes: -5}, {Node: 2}}
-	for _, b := range []Balancer{NewWeightedRoundRobin(7), NewPowerOfTwo(7), NewLoadAware(7, 0)} {
+	for _, b := range []Balancer{NewWeightedRoundRobin(7), NewPowerOfTwo(7)} {
 		t.Run(b.Name(), func(t *testing.T) {
 			if _, err := b.Pick(full, 1); !errors.Is(err, ErrInsufficientCandidates) {
 				t.Fatalf("err = %v, want ErrInsufficientCandidates", err)
@@ -145,7 +146,7 @@ func TestSkipsFullCandidates(t *testing.T) {
 		{Node: 2, FreeBytes: 0},
 		{Node: 3, FreeBytes: -1},
 	}
-	for _, b := range []Balancer{NewWeightedRoundRobin(7), NewPowerOfTwo(7), NewLoadAware(7, 0)} {
+	for _, b := range []Balancer{NewWeightedRoundRobin(7), NewPowerOfTwo(7)} {
 		t.Run(b.Name(), func(t *testing.T) {
 			for trial := 0; trial < 50; trial++ {
 				ids, err := b.Pick(cands, 1)
@@ -163,24 +164,45 @@ func TestSkipsFullCandidates(t *testing.T) {
 	}
 }
 
-// The load-aware balancer must prefer a fast node over a roomy-but-slow one
-// when the capacity gap is smaller than the latency gap.
-func TestLoadAwarePrefersFastNode(t *testing.T) {
-	la := NewLoadAware(7, time.Millisecond)
+// WithinObjective keeps the donors at or under the objective (unknown
+// counts as under), fills a shortfall with the lowest figures over it, and
+// leaves a set with nothing over the objective untouched.
+func TestWithinObjective(t *testing.T) {
+	const obj = 4 * time.Millisecond
+	ms := time.Millisecond
 	cands := []Candidate{
-		{Node: 0, FreeBytes: 12 << 20, Latency: 20 * time.Millisecond}, // roomy, saturated
-		{Node: 1, FreeBytes: 8 << 20, Latency: time.Millisecond},       // slightly fuller, fast
+		{Node: 1, Latency: ms},
+		{Node: 2, Latency: 9 * ms},
+		{Node: 3},                  // unknown: within
+		{Node: 4, Latency: 5 * ms}, // over, fastest of the slow
+		{Node: 5, Latency: obj},    // at the objective: within
+		{Node: 6, Latency: 5 * ms}, // ties node 4, higher ID
 	}
-	hits := map[NodeID]int{}
-	for i := 0; i < 1000; i++ {
-		ids, err := la.Pick(cands, 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		n       int
+		want    []NodeID
+		skipped int
+	}{
+		{n: 2, want: []NodeID{1, 3, 5}, skipped: 3},
+		{n: 3, want: []NodeID{1, 3, 5}, skipped: 3},
+		{n: 4, want: []NodeID{1, 3, 4, 5}, skipped: 2},
+		{n: 5, want: []NodeID{1, 3, 4, 5, 6}, skipped: 1},
+		{n: 6, want: []NodeID{1, 2, 3, 4, 5, 6}, skipped: 0},
+	} {
+		pool, skipped := WithinObjective(cands, obj, tc.n)
+		var got []NodeID
+		for _, c := range pool {
+			got = append(got, c.Node)
 		}
-		hits[ids[0]]++
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || skipped != tc.skipped {
+			t.Errorf("n=%d: pool %v skipped %d, want %v skipped %d", tc.n, got, skipped, tc.want, tc.skipped)
+		}
 	}
-	if hits[1] < 900 {
-		t.Fatalf("fast node picked %d/1000, want dominant (hits %v)", hits[1], hits)
+	for _, obj := range []time.Duration{10 * ms, 0} {
+		pool, skipped := WithinObjective(cands, obj, 3)
+		if len(pool) != len(cands) || &pool[0] != &cands[0] || skipped != 0 {
+			t.Errorf("objective %v: pool %v skipped %d, want the candidates unchanged", obj, pool, skipped)
+		}
 	}
 }
 
